@@ -28,6 +28,7 @@ from .inner1d import (
     boundary_value,
 )
 from .torus_core import (
+    TWO_PI,
     DiscreteMeasure1D,
     TorusPoint,
     UnimodularConstant,
@@ -46,7 +47,6 @@ __all__ = [
     "DEFAULT_TRUNCATION",
 ]
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_TRUNCATION = 10_000
 _DEGENERACY_FLOOR = 1e-14
 _BISECTION_TOL = 1e-13

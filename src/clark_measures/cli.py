@@ -42,7 +42,7 @@ from .rif2d import (
     rif_map,
     singularities,
 )
-from .torus_core import Antidiagonal, ClarkMeasure2D, QuadratureGrid, UnimodularConstant
+from .torus_core import TWO_PI, Antidiagonal, ClarkMeasure2D, QuadratureGrid, UnimodularConstant
 from .verify import (
     DEFAULT_SEED,
     EMBED_BASE_REL,
@@ -66,7 +66,6 @@ from .verify import (
 
 __all__ = ["CommandSpec", "SchemaError", "ComputationError", "run", "main"]
 
-TWO_PI = 2.0 * math.pi
 
 _SUBCOMMANDS = ("eval", "measure1d", "embed", "product", "rif", "verify", "plot")
 _FORMATS = ("csv", "svg", "json")

@@ -39,6 +39,7 @@ from .inner1d import (
     eval_inner,
 )
 from .torus_core import (
+    TWO_PI,
     ClarkMeasure2D,
     CurveComponent,
     DiscreteMeasure1D,
@@ -66,7 +67,6 @@ __all__ = [
     "branch_curves",
 ]
 
-TWO_PI = 2.0 * math.pi
 PRODUCT_TRUNCATION = 1000
 _GENERAL_PATH_MAX_LAYERS = 128
 

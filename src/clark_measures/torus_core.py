@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -240,9 +241,7 @@ def poisson_kernel(z, zeta):
         w = zeta.value
     else:
         w = np.asarray(zeta) if isinstance(zeta, np.ndarray) else complex(zeta)
-    num = 1.0 - abs(zv) ** 2
-    d = w - zv
-    out = num / (d.real ** 2 + d.imag ** 2)
+    out = (1.0 - abs(zv) ** 2) / np.abs(w - zv) ** 2
     return out if isinstance(out, np.ndarray) else float(out)
 
 
@@ -372,17 +371,23 @@ class ClarkMeasure2D:
         if self.tail_bound < 0 or not math.isfinite(self.tail_bound):
             raise ValueError("tail_bound must be finite and nonnegative")
 
-
-def _antidiagonal_block(mu: ClarkMeasure2D):
-    """Split curves into a batched antidiagonal block and the rest."""
-    etas, weights, graph_items = [], [], []
-    for idx, comp in enumerate(mu.curves):
-        if isinstance(comp.kind, Antidiagonal):
-            etas.append(comp.kind.eta.value)
-            weights.append(comp.weight)
-        else:
-            graph_items.append((idx, comp))
-    return (np.array(etas, dtype=complex), np.array(weights, dtype=float), graph_items)
+    @cached_property
+    def _antidiagonal_block(self) -> tuple:
+        """(etas, weights, graph_items): antidiagonals batched as read-only
+        arrays and the (index, component) pairs of the other curves, built
+        once per immutable measure since the split evaluates each eta."""
+        etas, weights, graph_items = [], [], []
+        for idx, comp in enumerate(self.curves):
+            if isinstance(comp.kind, Antidiagonal):
+                etas.append(comp.kind.eta.value)
+                weights.append(comp.weight)
+            else:
+                graph_items.append((idx, comp))
+        etas = np.array(etas, dtype=complex)
+        weights = np.array(weights, dtype=float)
+        etas.flags.writeable = False
+        weights.flags.writeable = False
+        return etas, weights, tuple(graph_items)
 
 
 def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> IntegralResult:
@@ -395,7 +400,7 @@ def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> Integral
     n = grid.n_nodes
     zeta = grid.points()
     allowed = max_undefined_nodes(n)
-    etas, weights, graph_items = _antidiagonal_block(mu)
+    etas, weights, graph_items = mu._antidiagonal_block
 
     component_values = []
     component_estimates = []
@@ -427,10 +432,7 @@ def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> Integral
         if finite.any():
             sup_f = max(sup_f, float(np.max(np.abs(np.where(finite, fv, 0.0)))))
         vals = fv * wv
-        try:
-            mean, est, _ = _node_mean_with_estimate(vals, allowed, component_index=idx)
-        except QuadratureError:
-            raise
+        mean, est, _ = _node_mean_with_estimate(vals, allowed, component_index=idx)
         component_values.append(complex(mean))
         component_estimates.append(float(est))
 

@@ -7,12 +7,13 @@ mass, support inside the alpha level set, and vanishing mixed-sign Fourier
 coefficients.
 
 The Poisson integrals are evaluated independently of the construction paths.
-Antidiagonal families are integrated in closed form by the Poisson kernel
-semigroup P_a * P_b = P_ab: the antidiagonal through eta contributes exactly
-P_{z1 z2}(eta).  Higher-dimensional embeddings run a spectral convolution,
-and graph and line components plain quadrature.  The generic quadrature
-integrators (integrate_measure2d, integrate_embed_nd) are the independent
-oracle the tests pin both accelerated paths against.
+Embedded measures, in any dimension, live on the subtori
+{zeta_1 ... zeta_d = eta} and are integrated in closed form by the Poisson
+kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
+exactly P_{z1 ... zd}(eta).  Graph and line components run plain
+quadrature.  The generic quadrature integrators (integrate_measure2d,
+integrate_embed_nd) are the independent oracle the tests pin the closed form
+against.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .inner1d import InnerFunction1D, Unimodular, boundary_value
 from .product2d import ProductInner, product_clark_integrate
 from .rif2d import RIF_n1, RIFError, rif_boundary_value
 from .torus_core import (
+    TWO_PI,
     Antidiagonal,
     ClarkMeasure2D,
     IntegralResult,
@@ -36,6 +38,7 @@ from .torus_core import (
     integrate_measure2d,
     max_undefined_nodes,
     pairwise_sum,
+    poisson_kernel,
 )
 
 __all__ = [
@@ -76,18 +79,11 @@ RIF_BASE_REL = 1e-8
 SUPPORT_TOL = 1e-8
 FOURIER_BASE_TOL = 1e-8
 
-_CHUNK_ROWS = 1024
-TWO_PI = 2.0 * math.pi
-
 
 def _as_alpha(alpha) -> UnimodularConstant:
     if isinstance(alpha, UnimodularConstant):
         return alpha
     return UnimodularConstant.from_complex(complex(alpha))
-
-
-def _poisson_1d(z: complex, zeta) -> np.ndarray:
-    return (1.0 - abs(z) ** 2) / np.abs(zeta - z) ** 2
 
 
 def _poisson_sup(z: complex) -> float:
@@ -298,46 +294,48 @@ class VerificationReport:
 # Poisson integrators
 
 
-def _antidiagonal_poisson(etas, weights, z1, z2) -> float:
-    """Poisson integral sum_k w_k P_{z1 z2}(eta_k) of weighted antidiagonals.
+def _interior_point(z, d: int) -> tuple:
+    """z as a d-tuple of complex coordinates, each strictly inside the disc."""
+    z = tuple(complex(c) for c in z)
+    if len(z) != d:
+        raise ValueError(f"expected {d} coordinates, got {len(z)}")
+    if any(abs(c) >= 1.0 for c in z):
+        raise ValueError(f"point {z} is not inside the open polydisc")
+    return z
 
-    On the antidiagonal {(zeta, eta conj(zeta))} the integrand is
-    P_{z1}(zeta) P_{z2}(eta conj(zeta)), a circular convolution of two
-    Poisson kernels, and P_{z1} * P_{z2} = P_{z1 z2}.  The value is exact up
-    to rounding; no quadrature is involved.
+
+def _antidiagonal_poisson(etas, weights, w: complex) -> float:
+    """Poisson integral sum_k w_k P_w(eta_k) of weighted subtori at w = z1 ... zd.
+
+    On the subtorus {zeta_1 ... zeta_d = eta} the integrand
+    P_{z1}(zeta_1) ... P_{zd}(zeta_d) is a (d-1)-fold circular convolution of
+    Poisson kernels, and P_a * P_b = P_ab, so the subtorus through eta
+    contributes exactly P_{z1 ... zd}(eta); for d = 2 it is the antidiagonal.
+    The value is exact up to rounding; no quadrature is involved.
     """
-    return float(pairwise_sum(weights * _poisson_1d(z1 * z2, etas)))
+    return float(pairwise_sum(weights * poisson_kernel(w, etas)))
 
 
-def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None,
-                       tail_angles=None):
+def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     """z -> Poisson integral of mu with an error bound.
 
     Antidiagonal components are integrated in closed form by the kernel
-    semigroup (see _antidiagonal_poisson); graph and line components by the
-    generic quadrature on grid.  The tail term is tail_bound times the sup
-    of the integrand over the omitted mass: sup P_{z1 z2} when mu holds only
-    antidiagonals, sup P_{z1} sup P_{z2} otherwise.  tail_angles is kept so
-    existing callers keep working; it affects only the d >= 3 tail term of
-    embed_integrator and is ignored here.
+    semigroup at w = z1 z2 (see _antidiagonal_poisson); graph and line
+    components by the generic quadrature on grid.  The tail term is
+    tail_bound times the sup of the integrand over the omitted mass:
+    sup P_{z1 z2} when mu holds only antidiagonals, sup P_{z1} sup P_{z2}
+    otherwise.  A point off the open bidisc raises ValueError.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    etas, weights, rest = [], [], []
-    for comp in mu.curves:
-        if isinstance(comp.kind, Antidiagonal):
-            etas.append(comp.kind.eta.value)
-            weights.append(comp.weight)
-        else:
-            rest.append(comp)
-    etas = np.array(etas, dtype=complex)
-    weights = np.array(weights, dtype=float)
+    etas, weights, graph_items = mu._antidiagonal_block
     remainder = None
-    if rest or mu.lines:
-        remainder = ClarkMeasure2D(curves=tuple(rest), lines=mu.lines, tail_bound=0.0)
+    if graph_items or mu.lines:
+        remainder = ClarkMeasure2D(curves=tuple(comp for _, comp in graph_items),
+                                   lines=mu.lines, tail_bound=0.0)
 
     def integrate(z) -> IntegralResult:
-        z1, z2 = (complex(c) for c in z)
-        value = _antidiagonal_poisson(etas, weights, z1, z2) if len(etas) else 0.0
+        z1, z2 = _interior_point(z, 2)
+        value = _antidiagonal_poisson(etas, weights, z1 * z2) if len(etas) else 0.0
         error = 0.0
         if mu.tail_bound:
             if remainder is None:
@@ -346,7 +344,7 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None,
                 error += mu.tail_bound * _poisson_sup(z1) * _poisson_sup(z2)
         if remainder is not None:
             def f(w1, w2):
-                return _poisson_1d(z1, w1) * _poisson_1d(z2, w2)
+                return poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
 
             res = integrate_measure2d(remainder, f, grid)
             value += float(np.real(res.value))
@@ -356,65 +354,28 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None,
     return integrate
 
 
-def embed_integrator(em: EmbeddedClarkND, grid: QuadratureGrid = None,
-                     tail_angles=None):
-    """Poisson integrator for an embedded measure.
+def embed_integrator(em: EmbeddedClarkND, grid: QuadratureGrid = None):
+    """Poisson integrator for an embedded measure, in closed form.
 
-    d = 2 is the closed-form antidiagonal sum of _antidiagonal_poisson, with
-    tail term tail_bound * sup P_{z1 z2}.  d >= 3 integrates over each
-    subtorus {prod zeta_i = eta} as a circular convolution of the sampled
-    one-variable Poisson kernels: the product of their DFTs evaluated as a
-    trigonometric series at the atom angle, which is exactly the nested
-    trapezoid rule on the free angles.  tail_angles, the accumulation angles
-    of the omitted atoms, affects only the d >= 3 tail term.
+    The Clark measure of phi(z1 ... zd) puts the weight of each atom eta of
+    the one-variable measure on the subtorus {zeta_1 ... zeta_d = eta}, so
+    the integral is sum_k w_k P_w(eta_k) at w = z1 ... zd in every
+    dimension (see _antidiagonal_poisson).  The error bound is the tail
+    term tail_bound * sup P_w = tail_bound * (1+|w|)/(1-|w|), a proven bound
+    on the contribution of the omitted atoms.  grid is unused, since no
+    quadrature is involved; it is accepted so that every integrator takes
+    the same arguments.  A point with the wrong number of coordinates or off
+    the open polydisc raises ValueError.
     """
-    grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     base = em.base
-    if em.dimension == 2:
-        etas = base.points_array()
-        weights = base.weights_array()
-
-        def integrate2(z) -> IntegralResult:
-            z1, z2 = (complex(c) for c in z)
-            value = _antidiagonal_poisson(etas, weights, z1, z2)
-            return IntegralResult(value, base.tail_bound * _poisson_sup(z1 * z2))
-
-        return integrate2
-
     d = em.dimension
-    atom_angles = np.array([p.theta for p, _ in base.atoms])
+    etas = base.points_array()
     weights = base.weights_array()
-    angles = None if tail_angles is None else np.asarray(tail_angles, dtype=float)
-
-    def convolved(z, zeta, n):
-        spec = np.ones(n, dtype=complex)
-        for zi in z:
-            spec *= np.fft.fft(_poisson_1d(zi, zeta)) / n
-        freqs = np.fft.fftfreq(n, d=1.0 / n)
-        eval_angles = atom_angles if angles is None else np.concatenate([atom_angles, angles])
-        values = np.empty(len(eval_angles))
-        for lo in range(0, len(eval_angles), _CHUNK_ROWS):
-            block = eval_angles[lo:lo + _CHUNK_ROWS]
-            values[lo:lo + _CHUNK_ROWS] = np.real(np.exp(1j * np.outer(block, freqs)) @ spec)
-        return values
 
     def integrate(z) -> IntegralResult:
-        z = tuple(complex(c) for c in z)
-        if len(z) != d:
-            raise ValueError(f"expected {d} coordinates, got {len(z)}")
-        n = grid.n_nodes
-        zeta = grid.points()
-        c_full = convolved(z, zeta, n)
-        c_half = convolved(z, zeta[::2], n // 2)
-        k = len(atom_angles)
-        v_full = float(weights @ c_full[:k])
-        v_half = float(weights @ c_half[:k])
-        if angles is not None:
-            sup_tail = 2.0 * float(np.max(c_full[k:])) if len(c_full) > k else 0.0
-        else:
-            sup_tail = math.prod(_poisson_sup(zi) for zi in z)
-        error = abs(v_full - v_half) + base.tail_bound * sup_tail
-        return IntegralResult(v_full, error)
+        w = math.prod(_interior_point(z, d))
+        value = _antidiagonal_poisson(etas, weights, w)
+        return IntegralResult(value, base.tail_bound * _poisson_sup(w))
 
     return integrate
 
@@ -426,14 +387,14 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
     alpha = _as_alpha(alpha)
 
     def integrate(z) -> IntegralResult:
-        z1, z2 = (complex(c) for c in z)
+        z1, z2 = _interior_point(z, 2)
 
         def f(w1, w2):
-            return _poisson_1d(z1, w1) * _poisson_1d(z2, w2)
+            return poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
 
         f_split = None
         if split:
-            f_split = (lambda w: _poisson_1d(z1, w), lambda w: _poisson_1d(z2, w))
+            f_split = (lambda w: poisson_kernel(z1, w), lambda w: poisson_kernel(z2, w))
         return product_clark_integrate(P, alpha, f, grid, K=K, f_split=f_split)
 
     return integrate
@@ -572,20 +533,15 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
     zeta = grid.points()
     allowed = max_undefined_nodes(n)
 
-    etas, weights, graph_data = [], [], []
-    for comp in mu.curves:
-        if isinstance(comp.kind, Antidiagonal):
-            etas.append(comp.kind.eta.value)
-            weights.append(comp.weight)
-            continue
+    etas, weights, graph_items = mu._antidiagonal_block
+    graph_data = []
+    for _, comp in graph_items:
         g = comp.second_coordinate(zeta)
         w = comp.weight_values(zeta)
         mask = np.isfinite(g) & np.isfinite(w)
         if n - int(mask.sum()) > allowed:
             raise ValueError("graph component undefined on too many nodes")
         graph_data.append((g, w, mask))
-    etas = np.array(etas, dtype=complex)
-    weights = np.array(weights, dtype=float)
 
     moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
     moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}

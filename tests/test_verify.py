@@ -92,17 +92,18 @@ class TestHerglotzRhs:
         mu = embed_clark2d(EXP, alpha, K=400)
         z = (0.4, 0.3j)
         rhs = herglotz_rhs(embedding_map(EXP, 2), alpha, z)
-        res = measure_integrator(mu, GRID, tail_angles=[0.0])(z)
+        res = measure_integrator(mu, GRID)(z)
         assert abs(res.value - rhs) <= 1e-6 * rhs + res.error_bound
         # a coarse truncation makes the omitted mass dominate, so the tail
         # term itself must cover the whole error, up to rounding
-        points = sample_test_points(2, 100)
         for alpha in (UnimodularConstant.from_nu(0.0), UnimodularConstant.from_nu(0.7)):
-            mu = embed_clark2d(EXP, alpha, K=50)
-            phi = embedding_map(EXP, 2)
-            for integrate in (measure_integrator(mu, GRID),
-                              measure_integrator(mu, GRID, tail_angles=[0.0])):
-                for z in points:
+            cases = (
+                (2, measure_integrator(embed_clark2d(EXP, alpha, K=50), GRID)),
+                (3, embed_integrator(embed_clark_nd(EXP, alpha, 3, K=50), GRID)),
+            )
+            for d, integrate in cases:
+                phi = embedding_map(EXP, d)
+                for z in sample_test_points(d, 100):
                     rhs = herglotz_rhs(phi, alpha, z)
                     res = integrate(z)
                     assert abs(res.value - rhs) <= res.error_bound + 1e-12 * rhs
@@ -140,7 +141,7 @@ class TestIntegrators:
     def test_nd_fast_path_matches_nested(self):
         alpha = UnimodularConstant.from_nu(0.7)
         em = embed_clark_nd(EXP, alpha, 3, K=25)
-        fast = embed_integrator(em, GRID, tail_angles=[0.0])
+        fast = embed_integrator(em, GRID)
         z = (0.3 + 0.4j, -0.5 + 0.2j, 0.1 - 0.6j)
 
         def f(w1, w2, w3):
@@ -169,6 +170,18 @@ class TestIntegrators:
         em = embed_clark_nd(EXP, UnimodularConstant.from_nu(0.0), 3, K=5)
         with pytest.raises(ValueError):
             embed_integrator(em, GRID)((0.1, 0.2))
+
+    def test_rejects_points_off_the_polydisc(self):
+        alpha = UnimodularConstant.from_nu(0.0)
+        cases = (
+            (embed_integrator(embed_clark_nd(EXP, alpha, 2, K=50), GRID), (1.0, 0.5)),
+            (embed_integrator(embed_clark_nd(EXP, alpha, 3, K=50), GRID), (1.0, 0.5, 0.5)),
+            (measure_integrator(embed_clark2d(EXP, alpha, K=50), GRID), (0.5, -1.0j)),
+            (product_integrator(ProductInner(EXP, EXP), alpha, GRID, K=50), (0.5, 1.5)),
+        )
+        for integrate, z in cases:
+            with pytest.raises(ValueError):
+                integrate(z)
 
     def test_product_integrator_runs_fiber_path(self):
         P = ProductInner(EXP, EXP)
@@ -217,7 +230,7 @@ class TestPoissonIdentity:
     def test_zero_point_residual_equals_mass_error(self):
         alpha = UnimodularConstant.from_nu(0.4)
         em = embed_clark_nd(EXP, alpha, 2, K=50)
-        integrate = embed_integrator(em, GRID, tail_angles=[0.0])
+        integrate = embed_integrator(em, GRID)
         phi = embedding_map(EXP, 2)
         report = poisson_identity_check(em, phi, alpha, ((0j, 0j),), GRID,
                                         integrate=integrate)
