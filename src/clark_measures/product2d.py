@@ -14,6 +14,17 @@ beta = alpha conj(outer factor boundary value).  Three evaluation paths:
   closed-form wrapped-kernel truncation corrections and a Richardson step
   in the layer count.
 
+The fiber geometry depends only on (P, alpha, grid, K), so each path builds
+it once, as a fiber object: the companion-matrix roots and weights, or the
+Lorentzian weights, the atoms and the truncation remainders of every
+singular fiber (for the full and the half window), built in chunks of rows.
+An integrand f_1(z_1) f_2(z_2) then costs one sum over the cached fiber
+atoms per factor, of f on that factor alone, streamed in the same chunks,
+and one weighted sum over the outer nodes.  product_clark_integrate builds
+a fiber per call; verify.product_integrator and
+verify.product_fourier_rp_check build one and reuse it for every point,
+every Fourier entry and the mass check.
+
 Closed-form branch families are provided for the two classical examples
 (exp x exp and Blaschke-pair x exp) and cross-checked against the generic
 solver in the tests.
@@ -23,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +81,8 @@ __all__ = [
 
 PRODUCT_TRUNCATION = 1000
 _GENERAL_PATH_MAX_LAYERS = 128
+# fiber entries evaluated per chunk of rows: bounds the per-point temporaries
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class SkipNode(Exception):
@@ -427,117 +441,192 @@ def _blaschke_fiber_atoms(psi: InnerFunction1D, beta: np.ndarray):
     return roots, 1.0 / slope
 
 
-def _integrate_blaschke_outer(P, alpha, f, grid, K, swap):
-    """Outer quadrature over the Blaschke factor, fibers from the other factor.
+def _row_chunks(K: int, n: int):
+    """Row slices of the window |k| <= K over n levels, flagged when inside
+    the half window |k| <= K // 2.
 
-    With swap=True the outer coordinate is z_2 (phi supplies the fibers) and
-    f receives (fiber, outer); otherwise (outer, fiber).
+    A chunk holds at most _CHUNK_ELEMENTS entries and never straddles an
+    edge of the half window, so one pass gives both window sums.
     """
-    outer, inner = (P.psi, P.phi) if swap else (P.phi, P.psi)
-    thetas = grid.thetas()
-    zeta = np.exp(1j * thetas)
-    outer_bv = boundary_values_array(outer, thetas)
-    beta = alpha.alpha * np.conj(outer_bv)
-    inner_kind = _supported_factor(inner)
-    if inner_kind == "blaschke":
-        atoms, weights = _blaschke_fiber_atoms(inner, beta)
-        args = (atoms, zeta[None, :]) if swap else (zeta[None, :], atoms)
+    step = max(1, _CHUNK_ELEMENTS // n)
+    edges = (0, K - K // 2, K + K // 2 + 1, 2 * K + 1)
+    return [
+        (slice(a, min(a + step, hi)), lo == edges[1])
+        for lo, hi in zip(edges, edges[1:])
+        for a in range(lo, hi, step)
+    ]
+
+
+class _LorentzFiber:
+    """Atoms of a single-atom singular factor at a row of levels, |k| <= K.
+
+    At level angle base_j the atoms sit at eta_kj = xi (y + ic)/(y - ic) with
+    weights lor_kj = 2c/(c^2 + y^2), y = base_j + 2 pi k.  The omitted weight
+    wrapped(base_j) - sum_k lor_kj, for the full and for the half window, is
+    put at xi, where the omitted atoms accumulate.  All of it depends only
+    on the levels, so it is built once; sums() is the pass per integrand.
+    """
+
+    def __init__(self, base: np.ndarray, c: float, xi: complex, K: int):
+        self.xi = xi
+        self.chunks = _row_chunks(K, len(base))
+        shifts = TWO_PI * np.arange(-K, K + 1)
+        self.lor = np.empty((2 * K + 1, len(base)))
+        self.eta = np.empty(self.lor.shape, dtype=complex)
+        for rows, _ in self.chunks:
+            y = base + shifts[rows, None]
+            self.lor[rows] = _lorentz(c, y)
+            self.eta[rows] = _exp_point(xi, c, y)
+        wrapped = _wrapped_lorentz(c, base)
+        full, half = self._window_sums(lambda rows: self.lor[rows])
+        self.rem_full = wrapped - full
+        self.rem_half = wrapped - half
+
+    def _window_sums(self, term):
+        inside = outside = 0.0
+        for rows, is_inside in self.chunks:
+            part = pairwise_sum(term(rows), axis=0)
+            if is_inside:
+                inside = inside + part
+            else:
+                outside = outside + part
+        return inside + outside, inside
+
+    def sums(self, f):
+        """Full- and half-window sums sum_k lor_k f(eta_k) + rem f(xi) per level.
+
+        f maps a block of fiber points to values, and it is evaluated one
+        chunk of rows at a time.  A level where f is not finite at some atom
+        gets a non-finite sum.
+        """
         with np.errstate(all="ignore"):
-            fv = np.asarray(f(*args), dtype=complex)
-        finite = np.isfinite(fv)
-        node_sums = pairwise_sum(np.where(finite, fv, 0.0) * weights, axis=0)
-        node_sums = np.where(finite.all(axis=0), node_sums, np.nan)
+            corner = f(np.full((1, self.lor.shape[1]), self.xi))[0]
+            full, half = self._window_sums(lambda rows: self.lor[rows] * f(self.eta[rows]))
+            return full + self.rem_full * corner, half + self.rem_half * corner
+
+
+class _OuterFiber:
+    """Outer quadrature on the grid of the Blaschke factor, with the fibers
+    of the other factor at the levels beta = alpha conj(outer boundary value).
+
+    With one singular factor, that factor supplies the fibers, as a
+    _LorentzFiber; otherwise psi does, through its companion-matrix roots
+    and weights.  fiber_sums(f) gives the full and half-window fiber sums of
+    f per node, half None for the untruncated Blaschke fibers.
+    """
+
+    def __init__(self, P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
+        kinds = P.kinds()
+        self.fiber_axis = 0 if kinds == ("singular", "blaschke") else 1
+        outer, inner = (P.psi, P.phi) if self.fiber_axis == 0 else (P.phi, P.psi)
+        thetas = grid.thetas()
+        self.zeta = np.exp(1j * thetas)
+        beta = alpha.alpha * np.conj(boundary_values_array(outer, thetas))
+        if "singular" in kinds:
+            a, c, xi = _exp_params(inner)
+            self.fiber_sums = _LorentzFiber(a - np.angle(beta), c, xi.value, K).sums
+        else:
+            roots, weights = _blaschke_fiber_atoms(inner, beta)
+            self.fiber_sums = lambda f: (pairwise_sum(f(roots) * weights, axis=0), None)
+
+    def profile(self, axis, f):
+        if axis == self.fiber_axis:
+            return self.fiber_sums(f)
+        with np.errstate(all="ignore"):
+            return f(self.zeta)
+
+    def combine(self, p0, p1) -> IntegralResult:
+        outer, (full, half) = (p1, p0) if self.fiber_axis == 0 else (p0, p1)
+        with np.errstate(all="ignore"):
+            return self._outer_sum(outer * full, None if half is None else outer * half)
+
+    def integrate(self, f) -> IntegralResult:
+        """Integrate a general f(z_1, z_2), evaluated on the fibers of each node."""
+        z = self.zeta[None, :]
+        g = (lambda w: f(w, z)) if self.fiber_axis == 0 else (lambda w: f(z, w))
+        with np.errstate(all="ignore"):
+            return self._outer_sum(*self.fiber_sums(g))
+
+    def _outer_sum(self, full, half) -> IntegralResult:
+        if half is None:
+            node_sums = full
+        else:
+            # per-node Richardson step in the truncation order (residual ~ 1/K^2)
+            node_sums = full + (full - half) / 3.0
+        n = len(node_sums)
+        allowance = max_undefined_nodes(n)
+        good = np.isfinite(node_sums)
+        n_bad = n - int(good.sum())
+        if n_bad > allowance:
+            raise UnsupportedFunctionError(
+                f"{n_bad} skipped outer nodes exceed the allowance {allowance}"
+            )
         dropped_bound = 0.0
-    else:
-        a2, c2, xi2 = _exp_params(inner)
-        k = np.arange(-K, K + 1)
-        base = a2 - np.angle(beta)
-        y = base[None, :] + TWO_PI * k[:, None]
-        lor = _lorentz(c2, y)
-        eta = _exp_point(xi2.value, c2, y)
-        args = (eta, zeta[None, :]) if swap else (zeta[None, :], eta)
-        with np.errstate(all="ignore"):
-            fv = np.asarray(f(*args), dtype=complex)
-        corner_args = (
-            (np.full_like(zeta, xi2.value), zeta) if swap else (zeta, np.full_like(zeta, xi2.value))
-        )
-        with np.errstate(all="ignore"):
-            corner = np.asarray(f(*corner_args), dtype=complex)
-        finite = np.isfinite(fv)
-        clean = np.where(finite, fv, 0.0) * lor
-        wrapped = _wrapped_lorentz(c2, base)
-        sums_full = pairwise_sum(clean, axis=0) + (wrapped - lor.sum(axis=0)) * corner
-        half_mask = np.abs(k) <= K // 2
-        sums_half = pairwise_sum(clean[half_mask], axis=0) \
-            + (wrapped - lor[half_mask].sum(axis=0)) * corner
-        # per-node Richardson step in the truncation order (residual ~ 1/K^2)
-        node_sums = sums_full + (sums_full - sums_half) / 3.0
-        node_sums = np.where(finite.all(axis=0) & np.isfinite(corner), node_sums, np.nan)
-        dropped_bound = float(np.mean(np.abs(sums_full - sums_half))) / 3.0
-    allowance = max_undefined_nodes(grid.n_nodes)
-    bad = ~np.isfinite(node_sums)
-    n_bad = int(bad.sum())
-    if n_bad > allowance:
-        raise UnsupportedFunctionError(
-            f"{n_bad} skipped outer nodes exceed the allowance {allowance}"
-        )
-    good = ~bad
-    clean = np.where(good, node_sums, 0.0)
-    value = complex(pairwise_sum(clean) / max(int(good.sum()), 1))
-    evens = clean[::2]
-    good_evens = good[::2]
-    half = complex(pairwise_sum(evens) / max(int(good_evens.sum()), 1))
-    return IntegralResult(value=value, error_bound=abs(value - half) + dropped_bound)
+        if half is not None:
+            dropped_bound = float(np.mean(np.abs(full - half)[good])) / 3.0
+        clean = np.where(good, node_sums, 0.0)
+        value = complex(pairwise_sum(clean) / max(int(good.sum()), 1))
+        half_grid = complex(pairwise_sum(clean[::2]) / max(int(good[::2].sum()), 1))
+        return IntegralResult(value=value, error_bound=abs(value - half_grid) + dropped_bound)
 
 
-def _expexp_profile(base, c, xi_value, f_one, layers):
-    """Wrapped profile sum_{|m|<=layers} L_c(base+2 pi m) f(point(base+2 pi m)).
+class _ExpExpFiber:
+    """Both factors single-atom singular.
 
-    Returns (full, half) profiles where half keeps |m| <= layers//2, both
-    topped up with the closed-form wrapped kernel times f at the atom.
+    The outer circle is unrolled to the line and folded back onto the s
+    grid; the integral is the mean over s of the product of two Lorentzian
+    profiles, of f_1 at levels s and of f_2 at levels d0 - s.
     """
-    m = np.arange(-layers, layers + 1)
-    full = np.zeros(len(base), dtype=complex)
-    half = np.zeros(len(base), dtype=complex)
-    kern_full = np.zeros(len(base))
-    kern_half = np.zeros(len(base))
-    half_layers = layers // 2
-    for start in range(0, len(m), 256):
-        mm = m[start:start + 256, None]
-        x = base[None, :] + TWO_PI * mm
-        lor = _lorentz(c, x)
-        vals = np.asarray(f_one(_exp_point(xi_value, c, x)), dtype=complex)
-        contrib = lor * vals
-        full += contrib.sum(axis=0)
-        kern_full += lor.sum(axis=0)
-        inner_mask = np.abs(mm[:, 0]) <= half_layers
-        if inner_mask.any():
-            half += contrib[inner_mask].sum(axis=0)
-            kern_half += lor[inner_mask].sum(axis=0)
-    corner = complex(np.asarray(f_one(np.array([xi_value])), dtype=complex)[0])
-    wrapped = _wrapped_lorentz(c, base)
-    return (
-        full + (wrapped - kern_full) * corner,
-        half + (wrapped - kern_half) * corner,
-    )
+
+    def __init__(self, P, alpha, grid, K):
+        self.problem = (P, alpha, grid, K)
+
+    @cached_property
+    def sides(self):
+        # built on first use: a general integrand takes the nested path
+        P, alpha, grid, K = self.problem
+        a1, c1, xi1 = _exp_params(P.phi)
+        a2, c2, xi2 = _exp_params(P.psi)
+        n_s = max(1024, grid.n_nodes // 4)
+        s = TWO_PI * np.arange(n_s) / n_s
+        d0 = (a2 + a1 - alpha.nu) % TWO_PI
+        return _LorentzFiber(s, c1, xi1.value, K), _LorentzFiber(d0 - s, c2, xi2.value, K)
+
+    def profile(self, axis, f):
+        return self.sides[axis].sums(f)
+
+    def combine(self, q, p) -> IntegralResult:
+        (q_full, q_half), (p_full, p_half) = q, p
+        full, half = q_full * p_full, q_half * p_half
+        n_s = len(full)
+        i_full = complex(pairwise_sum(full) / n_s)
+        i_half = complex(pairwise_sum(half) / n_s)
+        value = i_full + (i_full - i_half) / 3.0
+        evens = complex(pairwise_sum(full[::2]) / (n_s // 2))
+        evens_r = evens + (evens - complex(pairwise_sum(half[::2]) / (n_s // 2))) / 3.0
+        error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
+        return IntegralResult(value=value, error_bound=error)
+
+    def integrate(self, f) -> IntegralResult:
+        """A general f(z_1, z_2) takes the nested layer sum instead."""
+        P, alpha, grid, K = self.problem
+        return _integrate_expexp_general(P, alpha, f, grid, K)
 
 
-def _integrate_expexp_separable(P, alpha, f_split, grid, K):
-    a1, c1, xi1 = _exp_params(P.phi)
-    a2, c2, xi2 = _exp_params(P.psi)
-    f1, f2 = f_split
-    n_s = max(1024, grid.n_nodes // 4)
-    s = TWO_PI * np.arange(n_s) / n_s
-    d0 = (a2 + a1 - alpha.nu) % TWO_PI
-    q_full, q_half = _expexp_profile(s, c1, xi1.value, f1, K)
-    p_full, p_half = _expexp_profile(d0 - s, c2, xi2.value, f2, K)
-    i_full = complex(pairwise_sum(q_full * p_full) / n_s)
-    i_half = complex(pairwise_sum(q_half * p_half) / n_s)
-    value = i_full + (i_full - i_half) / 3.0
-    evens = complex(pairwise_sum((q_full * p_full)[::2]) / (n_s // 2))
-    evens_r = evens + (evens - complex(pairwise_sum((q_half * p_half)[::2]) / (n_s // 2))) / 3.0
-    error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
-    return IntegralResult(value=value, error_bound=error)
+def _product_fiber(P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
+    """The fiber quadrature of P at alpha on grid, truncated at |k| <= K.
+
+    fiber.profile(axis, f) is the part of the integral of f_1(z_1) f_2(z_2)
+    that depends on f_axis alone, and fiber.combine(p0, p1) joins the two
+    profiles into an IntegralResult, so a caller with many integrands of
+    one factor computes that factor's profile once.  fiber.integrate(f)
+    takes a general f(z_1, z_2).
+    """
+    if not isinstance(K, int) or K < 1:
+        raise ValueError("truncation order K must be an integer >= 1")
+    if P.kinds() == ("singular", "singular"):
+        return _ExpExpFiber(P, alpha, grid, K)
+    return _OuterFiber(P, alpha, grid, K)
 
 
 def _integrate_expexp_general(P, alpha, f, grid, K):
@@ -605,18 +694,13 @@ def product_clark_integrate(
     """Integrate f over the Clark measure of phi(z_1) psi(z_2).
 
     f(z_1, z_2) must accept broadcastable complex arrays.  When f factors as
-    f(z_1, z_2) = f_split[0](z_1) * f_split[1](z_2), passing the pair enables
-    the fast separable path for two singular factors (f is then unused).
+    f(z_1, z_2) = f_split[0](z_1) * f_split[1](z_2), passing the pair lets
+    each fiber sum run over one factor alone, and it selects the fast
+    separable path for two singular factors (f is then unused).  Each call
+    builds the fiber geometry afresh; verify.product_integrator builds it
+    once for many points.
     """
-    if not isinstance(K, int) or K < 1:
-        raise ValueError("truncation order K must be an integer >= 1")
-    kinds = P.kinds()
-    if kinds == ("singular", "singular"):
-        if f_split is not None:
-            return _integrate_expexp_separable(P, alpha, f_split, grid, K)
-        return _integrate_expexp_general(P, alpha, f, grid, K)
+    fiber = _product_fiber(P, alpha, grid, K)
     if f_split is not None:
-        f = lambda z1, z2: f_split[0](z1) * f_split[1](z2)  # noqa: E731
-    if kinds == ("singular", "blaschke"):
-        return _integrate_blaschke_outer(P, alpha, f, grid, K, swap=True)
-    return _integrate_blaschke_outer(P, alpha, f, grid, K, swap=False)
+        return fiber.combine(fiber.profile(0, f_split[0]), fiber.profile(1, f_split[1]))
+    return fiber.integrate(f)

@@ -158,18 +158,22 @@ def pairwise_sum(values, axis: int = -1):
     """Sum along an axis with a fixed pairwise tree.
 
     The tree shape depends only on the axis length, so results are
-    bit-identical across runs and evaluation schedules.
+    bit-identical across runs and evaluation schedules.  The axis is padded
+    once with zeros to a power of two; x + 0 is exact, so this is the same
+    tree as pairing an odd level's last entry with a zero.
     """
     a = np.asarray(values)
     if a.ndim == 0:
         return a[()]
     a = np.moveaxis(a, axis, -1)
-    if a.shape[-1] == 0:
+    n = a.shape[-1]
+    if n == 0:
         return np.zeros(a.shape[:-1], dtype=a.dtype)[()] if a.ndim > 1 else a.dtype.type(0)
+    size = 1 << (n - 1).bit_length()
+    if size != n:
+        pad = np.zeros(a.shape[:-1] + (size - n,), dtype=a.dtype)
+        a = np.concatenate([a, pad], axis=-1)
     while a.shape[-1] > 1:
-        if a.shape[-1] % 2:
-            pad = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
-            a = np.concatenate([a, pad], axis=-1)
         a = a[..., 0::2] + a[..., 1::2]
     out = a[..., 0]
     return out[()] if out.ndim == 0 else out

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embed import EmbeddedClarkND
 from .inner1d import InnerFunction1D, Unimodular, boundary_value
-from .product2d import ProductInner, product_clark_integrate
+from .product2d import PRODUCT_TRUNCATION, ProductInner, _product_fiber
 from .rif2d import RIF_n1, RIFError, rif_boundary_value
 from .torus_core import (
     TWO_PI,
@@ -381,21 +381,26 @@ def embed_integrator(em: EmbeddedClarkND, grid: QuadratureGrid = None):
 
 
 def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
-                       K: int = 1000, split: bool = True):
-    """Poisson integrator running through the product fiber quadrature."""
+                       K: int = PRODUCT_TRUNCATION):
+    """Poisson integrator running through the product fiber quadrature.
+
+    The fiber geometry of (P, alpha, grid, K) is built here, once, and
+    serves every point and the mass check (the point 0): the Lorentzian
+    weights, atoms and truncation remainders of a singular fiber factor,
+    or the companion-matrix roots and weights of a Blaschke one.  Per point
+    the integrand P_{z1}(zeta_1) P_{z2}(zeta_2) is split by factor: one
+    pass of the fiber coordinate's kernel over the cached atoms (for exp x
+    exp, of each factor's kernel over its Lorentzian profile), then one
+    weighted sum over the outer nodes.  A point's result does not depend on
+    which points were evaluated before it.
+    """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    alpha = _as_alpha(alpha)
+    fiber = _product_fiber(P, _as_alpha(alpha), grid, K)
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
-
-        def f(w1, w2):
-            return poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
-
-        f_split = None
-        if split:
-            f_split = (lambda w: poisson_kernel(z1, w), lambda w: poisson_kernel(z2, w))
-        return product_clark_integrate(P, alpha, f, grid, K=K, f_split=f_split)
+        return fiber.combine(fiber.profile(0, lambda w: poisson_kernel(z1, w)),
+                             fiber.profile(1, lambda w: poisson_kernel(z2, w)))
 
     return integrate
 
@@ -588,7 +593,7 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
 
 
 def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
-                             grid: QuadratureGrid = None, K: int = 1000,
+                             grid: QuadratureGrid = None, K: int = PRODUCT_TRUNCATION,
                              base_tol: float = FOURIER_BASE_TOL):
     """Mixed-sign Fourier coefficients of a product measure.
 
@@ -596,23 +601,25 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     fiber atom, so sampling the curve components on a grid cannot converge
     there.  Each coefficient is instead integrated by the product path,
     whose substitution flattens the fiber oscillation; the integrator's
-    reported bound is the tolerance term.
+    reported bound is the tolerance term.  The fiber geometry is built once
+    per call, and the profile of each monomial w^{-m} of each factor once
+    per exponent, so every entry (k1, k2) is one outer sum over the
+    profiles of z_1^{-k1} and z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     alpha = _as_alpha(alpha)
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
+    fiber = _product_fiber(P, alpha, grid, K)
+    exponents = [m for m in range(-kmax, kmax + 1) if m]
+    profiles = [{m: fiber.profile(axis, lambda w, m=m: w ** (-m)) for m in exponents}
+                for axis in (0, 1)]
     entries = []
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            if k1 * k2 >= 0:
+    for k1 in exponents:
+        for k2 in exponents:
+            if k1 * k2 > 0:
                 continue
-
-            def f(z1, z2, m1=k1, m2=k2):
-                return z1 ** (-m1) * z2 ** (-m2)
-
-            f_split = (lambda w, m=k1: w ** (-m), lambda w, m=k2: w ** (-m))
-            res = product_clark_integrate(P, alpha, f, grid, K=K, f_split=f_split)
+            res = fiber.combine(profiles[0][k1], profiles[1][k2])
             entries.append(
                 FourierEntry(
                     k=(k1, k2),

@@ -3,9 +3,11 @@
 import cmath
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -442,10 +444,15 @@ class TestPlot:
 
 class TestModuleInvocation:
     def test_python_m_entry(self, specs):
+        # the subprocess imports the package from its src directory, as the
+        # pytest process does through the pythonpath ini setting
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "clark_measures", "measure1d",
              "--input", specs["monomial1"], "--alpha", "0"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["atoms"] == [{"angle": 0.0, "weight": 1.0}]

@@ -374,6 +374,25 @@ class TestProductIntegrate:
         with pytest.raises(UnsupportedFunctionError):
             product_clark_integrate(P, UnimodularConstant.one(), poisoned, GRID, K=50)
 
+    def test_one_bad_node_is_dropped_with_a_finite_bound(self):
+        # f undefined at the outer node zeta = 1 only, within the allowance:
+        # the node leaves the mean and the Richardson term, not the result
+        alpha = UnimodularConstant.one()
+        psi = InnerFunction1D(monomial_power=2, blaschke_zeros=(0.3 - 0.2j,))
+        n = GRID.n_nodes
+        for P, outer in ((ProductInner(BPAIR, EXP), 0), (ProductInner(EXP, BPAIR), 1),
+                         (ProductInner(BPAIR, psi), 0)):
+            def integrand(bad_value, outer=outer):
+                def f(w1, w2):
+                    w = np.broadcast_arrays(w1, w2)[outer]
+                    return np.where(w == 1.0, bad_value, 1.0)
+                return f
+
+            res = product_clark_integrate(P, alpha, integrand(np.nan), GRID, K=50)
+            zeroed = product_clark_integrate(P, alpha, integrand(0.0), GRID, K=50)
+            assert np.isfinite(res.error_bound)
+            assert res.value == pytest.approx(zeroed.value * n / (n - 1), rel=1e-14)
+
 
 class TestBranchCurves:
     def test_expexp_curve_count(self):

@@ -113,6 +113,27 @@ class TestPairwiseSum:
         a = np.arange(12.0).reshape(3, 4)
         assert np.allclose(pairwise_sum(a, axis=-1), a.sum(axis=-1))
 
+    @staticmethod
+    def padded_per_level(values, axis=-1):
+        # reference tree: pair an odd level's last entry with a zero
+        a = np.moveaxis(np.asarray(values), axis, -1)
+        while a.shape[-1] > 1:
+            if a.shape[-1] % 2:
+                pad = np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)
+                a = np.concatenate([a, pad], axis=-1)
+            a = a[..., 0::2] + a[..., 1::2]
+        return a[..., 0]
+
+    def test_same_tree_as_padding_per_level(self):
+        rng = np.random.default_rng(3)
+        for n in [*range(1, 300), 2001, 4097, 20001]:
+            x = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 8, size=(3, n))
+            z = x + 1j * rng.normal(size=(3, n))
+            for a in (x, z):
+                assert np.array_equal(pairwise_sum(a, axis=-1), self.padded_per_level(a))
+                assert np.array_equal(pairwise_sum(a.T, axis=0), self.padded_per_level(a.T, 0))
+                assert pairwise_sum(a[0]) == self.padded_per_level(a[0])
+
 
 class TestPeriodicQuadrature:
     def test_constant(self):

@@ -25,9 +25,15 @@ from clark_measures import (
     rif_clark_measure,
     rif_map,
 )
-from clark_measures.product2d import ProductInner, product_branch_measure
+from clark_measures.product2d import (
+    ProductInner,
+    product_branch_measure,
+    product_clark_integrate,
+)
+from clark_measures.torus_core import poisson_kernel
 from clark_measures.verify import (
     EMBED_BASE_REL,
+    FOURIER_BASE_TOL,
     PRODUCT_BASE_REL,
     RIF_BASE_REL,
     FourierEntry,
@@ -42,6 +48,7 @@ from clark_measures.verify import (
     measure_integrator,
     poisson_identity_check,
     product_boundary_map,
+    product_fourier_rp_check,
     product_integrator,
     rif_boundary_map,
     sample_test_points,
@@ -182,6 +189,42 @@ class TestIntegrators:
         for integrate, z in cases:
             with pytest.raises(ValueError):
                 integrate(z)
+
+    def test_product_integrator_is_a_function_of_the_point(self):
+        # the fiber is built once per integrator; no point may see another's
+        BPAIR = InnerFunction1D(monomial_power=1, blaschke_zeros=(0.5j,))
+        psi = InnerFunction1D(monomial_power=2, blaschke_zeros=(0.3 - 0.2j,))
+        points = [(0j, 0j), *sample_test_points(2, 6)]
+        for P, alpha in ((ProductInner(BPAIR, EXP), 0.7), (ProductInner(EXP, BPAIR), 0.7),
+                         (ProductInner(EXP, EXP), 0.0), (ProductInner(BPAIR, psi), 2.1)):
+            alpha = UnimodularConstant.from_nu(alpha)
+            integrate = product_integrator(P, alpha, GRID, K=60)
+            forwards = [integrate(z) for z in points]
+            backwards = [integrate(z) for z in reversed(points)][::-1]
+            fresh = [
+                product_clark_integrate(
+                    P, alpha, None, GRID, K=60,
+                    f_split=(lambda w, a=z1: poisson_kernel(a, w),
+                             lambda w, a=z2: poisson_kernel(a, w)),
+                )
+                for z1, z2 in points
+            ]
+            assert forwards == backwards == fresh
+
+    def test_product_fourier_entries_match_single_integrals(self):
+        BPAIR = InnerFunction1D(monomial_power=1, blaschke_zeros=(0.5j,))
+        for P, alpha in ((ProductInner(EXP, BPAIR), UnimodularConstant.from_nu(math.pi / 4)),
+                         (ProductInner(EXP, EXP), UnimodularConstant.one())):
+            entries = product_fourier_rp_check(P, alpha, 2, GRID, K=60)
+            assert len(entries) == 8
+            for e in entries:
+                k1, k2 = e.k
+                res = product_clark_integrate(
+                    P, alpha, None, GRID, K=60,
+                    f_split=(lambda w: w ** (-k1), lambda w: w ** (-k2)),
+                )
+                assert e.modulus == float(abs(res.value))
+                assert e.tolerance == FOURIER_BASE_TOL + res.error_bound
 
     def test_product_integrator_runs_fiber_path(self):
         P = ProductInner(EXP, EXP)
