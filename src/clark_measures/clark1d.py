@@ -4,9 +4,8 @@ For alpha on the unit circle, the Clark measure sigma_alpha of an inner
 function phi is the positive measure with Poisson integral
 (1-|phi(z)|^2)/|alpha-phi(z)|^2.  Two families are computed exactly:
 
-* finite Blaschke products times monomials: exactly n atoms found by a
-  certified phase lift (every prescan interval is subdivided until a rigorous
-  bound on the phase increment permits principal-branch accumulation),
+* finite Blaschke products times monomials: exactly n atoms, bisected on
+  the closed-form phase lift of phi* (strictly increasing, 2 pi n per turn),
 * single-atom singular functions exp(-c (xi+z)/(xi-z)): countably many atoms
   in closed form, truncated at |k| <= K with an analytic tail bound.
 
@@ -15,17 +14,16 @@ Weights are reciprocals of the boundary derivative modulus.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .inner1d import (
     InnerFunction1D,
-    Unimodular,
+    _blaschke_phase,
     boundary_derivative_modulus,
-    boundary_value,
 )
 from .torus_core import (
     TWO_PI,
@@ -33,7 +31,6 @@ from .torus_core import (
     TorusPoint,
     UnimodularConstant,
     canonical_angle,
-    circle_distance,
 )
 
 __all__ = [
@@ -48,8 +45,13 @@ __all__ = [
 ]
 
 DEFAULT_TRUNCATION = 10_000
-_DEGENERACY_FLOOR = 1e-14
-_BISECTION_TOL = 1e-13
+# 16^15 = 2^60 parts of 2 pi: brackets end at adjacent floats
+_SECTIONS = 16
+_SECTION_STEPS = 15
+# resolution of an atom: its angle to 1e-9, its weight to a relative 1e-8
+_ANGLE_TOL = 1e-9
+_WEIGHT_RTOL = 1e-8
+_EPS = sys.float_info.epsilon
 
 
 class UnsupportedFunctionError(ValueError):
@@ -57,7 +59,7 @@ class UnsupportedFunctionError(ValueError):
 
 
 class DegenerateDerivativeError(ValueError):
-    """Boundary derivative too small for a reliable atom weight."""
+    """An atom's angle or weight cannot be resolved in float64."""
 
 
 @dataclass(frozen=True)
@@ -71,124 +73,48 @@ class LevelPoints:
     accumulation: tuple = ()
 
 
-def _unimodular_boundary(phi: InnerFunction1D, theta: float) -> complex:
-    bv = boundary_value(phi, TorusPoint(theta))
-    if not isinstance(bv, Unimodular):
-        raise UnsupportedFunctionError("boundary value is not unimodular on the scan grid")
-    return bv.value
-
-
-def _blaschke_phase_sup(phi: InnerFunction1D, lo: float, hi: float) -> float:
-    """Upper bound for psi'(theta) = |phi'(e^{i theta})| on [lo, hi]."""
-    total = float(phi.monomial_power)
-    for a in phi.blaschke_zeros:
-        rho = abs(a.value)
-        if rho == 0.0:
-            total += 1.0
-            continue
-        phi_a = cmath.phase(a.value)
-        # the factor (1-rho^2)/|zeta-a|^2 peaks at the angle of a
-        lo_d = circle_distance(lo, phi_a)
-        hi_d = circle_distance(hi, phi_a)
-        inside = canonical_angle(phi_a - lo) <= (hi - lo)
-        d = 0.0 if inside else min(lo_d, hi_d)
-        total += (1.0 - rho * rho) / (1.0 + rho * rho - 2.0 * rho * math.cos(d))
-    return total
-
-
-def _certified_lift(phi: InnerFunction1D):
-    """Break [0, 2pi] into intervals with phase increment provably <= pi/2.
-
-    Returns (thetas, psi) where psi[i] is the continuous phase lift of
-    arg phi*(e^{i theta_i}), psi[0] in (-pi, pi].
-    """
-    n = phi.degree
-    stack = [(i * TWO_PI / (16 * n), (i + 1) * TWO_PI / (16 * n)) for i in range(16 * n)]
-    stack.reverse()
-    edges = [0.0]
-    while stack:
-        lo, hi = stack.pop()
-        depth_ok = hi - lo > TWO_PI * 2.0 ** -40
-        if depth_ok and (hi - lo) * _blaschke_phase_sup(phi, lo, hi) > 0.5 * math.pi:
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi))
-            stack.append((lo, mid))
-        else:
-            edges.append(hi)
-    thetas = np.array(edges)
-    values = np.array([_unimodular_boundary(phi, t) for t in thetas])
-    increments = np.angle(values[1:] * np.conj(values[:-1]))
-    psi = np.empty(len(thetas))
-    psi[0] = cmath.phase(values[0])
-    psi[1:] = psi[0] + np.cumsum(increments)
-    if abs(psi[-1] - psi[0] - TWO_PI * n) > 1e-9:
-        raise UnsupportedFunctionError(
-            f"phase lift winds {psi[-1] - psi[0]:.6f}, expected {TWO_PI * n:.6f}"
-        )
-    return thetas, psi, values
-
-
-def _atom_weight(phi: InnerFunction1D, zeta: TorusPoint) -> float:
-    modulus = boundary_derivative_modulus(phi, zeta)
-    if not modulus > _DEGENERACY_FLOOR:
-        raise DegenerateDerivativeError(
-            f"boundary derivative {modulus:.3e} at angle {zeta.theta:.6f} is degenerate"
-        )
-    return 1.0 / modulus
-
-
 def clark_blaschke(phi: InnerFunction1D, alpha: UnimodularConstant) -> DiscreteMeasure1D:
     """Clark measure of a degree-n Blaschke-type inner function: n atoms.
 
-    The boundary phase is strictly increasing and winds by 2 pi n, so each
-    level alpha is hit exactly n times; each hit is bisected to 1e-13 in
-    angle and polished with two Newton steps.
+    The closed-form phase lift of phi* is strictly increasing and winds by
+    2 pi n, so each of the n levels nu + 2 pi k it crosses on [0, 2 pi) is
+    hit exactly once; all n brackets are sectioned together down to the
+    spacing of floats.  An atom that float64 cannot resolve raises
+    DegenerateDerivativeError: its weight 1/|phi'| changes by more than a
+    relative 1e-8 across its final bracket, or the lift's rounding error
+    over |phi'| exceeds 1e-9 in angle (both happen for zeros too close to
+    the circle).
     """
     if phi.has_singular_part:
         raise UnsupportedFunctionError("function has a singular part")
     n = phi.degree
     if n < 1:
         raise UnsupportedFunctionError("constant functions have no Clark measure atoms")
-    thetas, psi, values = _certified_lift(phi)
-    base = psi[0]
-    nu = alpha.nu
-    k_min = math.ceil((base - nu) / TWO_PI - 1e-12)
+    base = float(_blaschke_phase(phi, 0.0))
+    k_min = math.ceil((base - alpha.nu) / TWO_PI)
+    targets = alpha.nu + TWO_PI * (k_min + np.arange(n))
+    # cut all n brackets at once into _SECTIONS parts; keep the crossing
+    # one, so phase(lo) <= target < phase(hi) throughout
+    lo, hi = np.zeros(n), np.full(n, TWO_PI)
+    rows = np.arange(n)
+    for _ in range(_SECTION_STEPS):
+        nodes = np.linspace(lo, hi, _SECTIONS + 1, axis=1)
+        below = np.sum(_blaschke_phase(phi, nodes[:, 1:-1]) <= targets[:, None], axis=1)
+        lo, hi = nodes[rows, below], nodes[rows, below + 1]
+    # rounding of the lift, a few ulps of each of its n + 3 terms; divided
+    # by the slope |phi'| = 1/weight it bounds the error of an atom's angle
+    phase_error = 2 * (n + 3) * _EPS * (np.abs(targets) + math.pi)
     atoms = []
-    for m in range(n):
-        target = nu + TWO_PI * (k_min + m)
-        idx = int(np.searchsorted(psi, target, side="left"))
-        idx = min(max(idx, 1), len(psi) - 1)
-        lo, hi = thetas[idx - 1], thetas[idx]
-        anchor_value, anchor_psi = values[idx - 1], psi[idx - 1]
-
-        def local_psi(theta):
-            v = _unimodular_boundary(phi, theta)
-            return anchor_psi + math.atan2(
-                (v * anchor_value.conjugate()).imag, (v * anchor_value.conjugate()).real
+    for a, b, error in zip(lo, hi, phase_error):
+        zeta = TorusPoint(a)
+        # |phi'| >= k + sum_j (1 - |a_j|)/(1 + |a_j|) > 0, so the weight is finite
+        weight = 1.0 / boundary_derivative_modulus(phi, zeta)
+        w_hi = 1.0 / boundary_derivative_modulus(phi, TorusPoint(b))
+        if error * weight > _ANGLE_TOL or abs(w_hi - weight) > _WEIGHT_RTOL * weight:
+            raise DegenerateDerivativeError(
+                f"atom at angle {zeta.theta:.6f} with weight {weight:.3e} is not resolved in float64"
             )
-
-        f_lo = anchor_psi - target
-        f_hi = local_psi(hi) - target
-        if f_lo > 0 and f_lo < 1e-9:
-            root = lo
-        elif f_hi < 0 and f_hi > -1e-9:
-            root = hi
-        else:
-            a, b = lo, hi
-            while b - a > _BISECTION_TOL:
-                mid = 0.5 * (a + b)
-                if local_psi(mid) - target <= 0:
-                    a = mid
-                else:
-                    b = mid
-            root = 0.5 * (a + b)
-        for _ in range(2):
-            slope = boundary_derivative_modulus(phi, TorusPoint(root))
-            step = (local_psi(root) - target) / slope
-            if abs(step) < 0.5 * (hi - lo):
-                root -= step
-        zeta = TorusPoint(root)
-        atoms.append((zeta, _atom_weight(phi, zeta)))
+        atoms.append((zeta, weight))
     atoms.sort(key=lambda aw: aw[0].theta)
     return DiscreteMeasure1D(atoms=tuple(atoms), tail_bound=0.0, generator_id="blaschke")
 

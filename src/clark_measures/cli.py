@@ -418,6 +418,12 @@ def _cmd_verify(spec: CommandSpec) -> int:
         P = _load_product(spec.input)
         rule = product_map(P)
         mu = None
+        # Branch graphs of a singular fiber defeat grid quadrature near the
+        # fiber atom; the product path integrates the monomials instead.
+        # It runs first, so that its fiber is freed before the integrator
+        # builds its own.
+        fourier = _compute(lambda: product_fourier_rp_check(
+            P, alpha, _FOURIER_KMAX, grid, K=spec.K))
         integrate = product_integrator(P, alpha, grid, K=spec.K)
         base_rel, dim, count = PRODUCT_BASE_REL, 2, 100
         window = min(_SUPPORT_WINDOW_CAP, spec.K)
@@ -433,10 +439,6 @@ def _cmd_verify(spec: CommandSpec) -> int:
                       for chi, _ in P.psi.singular_atoms]
             support = _compute(lambda: support_inclusion_check(
                 branches, product_boundary_map(P), alpha, exemptions=exempt))
-        # Branch graphs of a singular fiber defeat grid quadrature near the
-        # fiber atom; the product path integrates the monomials instead.
-        fourier = _compute(lambda: product_fourier_rp_check(
-            P, alpha, _FOURIER_KMAX, grid, K=spec.K))
     else:
         R = _load_rif(spec.input)
         rule = rif_map(R)

@@ -306,6 +306,27 @@ def boundary_values_array(phi: InnerFunction1D, thetas: np.ndarray) -> np.ndarra
     return values
 
 
+def _blaschke_phase(phi: InnerFunction1D, thetas) -> np.ndarray:
+    """Continuous phase of a Blaschke-type phi* at angles theta, in closed form.
+
+    On the circle each factor (a - z)/(1 - conj(a) z) is -z conj(w)/w with
+    w = 1 - conj(a) z, and Re w > 0, so its phase pi + theta - 2 Arg w is
+    continuous.  With a = rho e^{i t_a} and t = theta - t_a,
+    w = (1 - rho) + 2 rho sin^2(t/2) - i rho sin t, free of cancellation
+    for zeros near the circle.  The lift nu + k theta + sum_j (pi + theta -
+    2 Arg w_j) is strictly increasing, with slope |phi'|, and gains
+    2 pi degree per turn.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    zeros = np.array([a.value for a in phi.blaschke_zeros], dtype=complex)
+    rho = np.abs(zeros)
+    t = thetas[..., None] - np.angle(zeros)
+    half = np.sin(0.5 * t)
+    arg_w = np.arctan2(-rho * np.sin(t), (1.0 - rho) + 2.0 * rho * half * half)
+    return (phi.unimodular_factor.nu + phi.degree * thetas
+            + len(zeros) * math.pi - 2.0 * arg_w.sum(axis=-1))
+
+
 def boundary_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float:
     """|phi'| on the circle in closed form:
 

@@ -46,6 +46,7 @@ from .clark1d import (
 from .inner1d import (
     InnerFunction1D,
     Unimodular,
+    _blaschke_phase,
     boundary_value,
     boundary_values_array,
     eval_inner,
@@ -219,61 +220,36 @@ def _blaschke_pair_weight(g, lam: complex):
 def blaschke_exp_branches(lam, nu: float):
     """Two level-set branches of exp(-(1+z1)/(1-z1)) * [z2 (lam-z2)/(1-conj(lam) z2)].
 
-    Solving psi*(z_2) = beta(zeta) with beta = e^{i nu} e^{i cot(theta/2)} is a
-    quadratic; the two roots are labeled at the base point zeta = -1 by the
-    sign of the square root and continued by nearest-neighbor matching along
-    the input array.  Rules return NaN at zeta = 1 (the level set's
-    accumulation line).
+    Solving psi*(z_2) = beta(zeta) with beta = e^{i x}, x = nu + cot(theta/2),
+    is a quadratic.  Its two roots lie on the sheets k = (L(arg z_2) - x)/(2 pi)
+    of the closed-form phase lift L of psi*, which gains 4 pi per turn, so
+    k mod 2 labels each root at its own point, and each branch is the
+    analytic continuation of one sheet along (0, 2 pi).  Rules return NaN at
+    zeta = 1 (the level set's accumulation line).
     """
     lam = lam.value if hasattr(lam, "value") else complex(lam)
     if abs(lam) >= 1:
         raise ValueError("Blaschke parameter must lie inside the disc")
     nu = float(nu)
+    psi = InnerFunction1D(monomial_power=1, blaschke_zeros=(lam,))
 
-    def _beta(zeta):
+    def _sheets(zeta):
         zeta = np.asarray(zeta, dtype=complex)
-        theta = np.angle(zeta)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = 1.0 / np.tan(0.5 * theta)
-            out = np.exp(1j * (nu + x))
-            out = np.where(np.abs(zeta - 1.0) < 1e-12, np.nan + 0j, out)
-        return out
-
-    def _tracked_roots(zeta):
-        zeta = np.atleast_1d(np.asarray(zeta, dtype=complex))
-        beta = _beta(zeta)
-        ok = ~np.isnan(beta)
-        r_plus = np.full(zeta.shape, np.nan + 0j)
-        r_minus = np.full(zeta.shape, np.nan + 0j)
-        if ok.any():
-            rp, rm = _blaschke_pair_roots(beta[ok], lam)
-            r_plus[ok], r_minus[ok] = rp, rm
-        base_plus, base_minus = _blaschke_pair_roots(np.array([_beta(-1.0 + 0j)]), lam)
-        prev = (complex(base_plus[0]), complex(base_minus[0]))
-        out0 = np.empty_like(r_plus)
-        out1 = np.empty_like(r_minus)
-        for j in range(len(zeta)):
-            a, b = r_plus[j], r_minus[j]
-            if np.isnan(a):
-                out0[j] = out1[j] = np.nan + 0j
-                continue
-            keep = abs(a - prev[0]) + abs(b - prev[1])
-            swap = abs(b - prev[0]) + abs(a - prev[1])
-            if swap < keep:
-                a, b = b, a
-            out0[j], out1[j] = a, b
-            prev = (a, b)
-        return out0, out1
+        roots = np.full((2,) + zeta.shape, np.nan + 0j)
+        ok = np.abs(zeta - 1.0) >= 1e-12
+        x = nu + 1.0 / np.tan(0.5 * np.angle(zeta[ok]))
+        pair = np.stack(_blaschke_pair_roots(np.exp(1j * x), lam))
+        odd = np.round((_blaschke_phase(psi, np.angle(pair[0])) - x) / TWO_PI) % 2 == 1
+        roots[:, ok] = np.where(odd, pair[::-1], pair)
+        return roots
 
     def _branch(which):
         def g(zeta):
-            roots = _tracked_roots(zeta)
-            return roots[which]
+            return _sheets(zeta)[which]
 
         def W(zeta):
-            roots = _tracked_roots(zeta)
             with np.errstate(invalid="ignore"):
-                return _blaschke_pair_weight(roots[which], lam)
+                return _blaschke_pair_weight(_sheets(zeta)[which], lam)
 
         return g, W
 
@@ -288,23 +264,18 @@ def branch_curves(
 ):
     """Sampled level-set branches for plotting: (label, z2 values, weights).
 
-    Closed forms are used for the two classical families; otherwise each
-    node's fiber atoms are sorted by angle and stitched by index.
+    Where product_branch_family has a closed form, its branches are
+    sampled; otherwise each node's fiber atoms are sorted by angle and
+    stitched by index.
     """
     thetas = np.asarray(thetas, dtype=float)
-    zeta = np.exp(1j * thetas)
-    kinds = P.kinds()
-    curves = []
-    if kinds == ("singular", "singular") and _is_standard_exp(P.phi) and _is_standard_exp(P.psi):
-        for k in range(-K, K + 1):
-            g, W = expexp_branches(alpha.nu, k)
-            curves.append((f"k={k}", g(zeta), W(zeta)))
-        return curves
-    if kinds == ("singular", "blaschke") and _is_standard_exp(P.phi) and _is_blaschke_pair(P.psi):
-        lam = P.psi.blaschke_zeros[0].value
-        for label, (g, W) in zip(("plus", "minus"), blaschke_exp_branches(lam, alpha.nu)):
-            curves.append((label, g(zeta), W(zeta)))
-        return curves
+    try:
+        family = product_branch_family(P, alpha, K)
+    except UnsupportedFunctionError:
+        pass
+    else:
+        zeta = np.exp(1j * thetas)
+        return [(f"branch{b}", g(zeta), W(zeta)) for b, (g, W) in enumerate(family.branches)]
     n_branches = None
     values, weights = [], []
     for theta in thetas:
@@ -318,6 +289,7 @@ def branch_curves(
         values.append(np.array([z.value for z, _ in atoms]))
         weights.append(np.array([w for _, w in atoms]))
         n_branches = len(atoms) if n_branches is None else n_branches
+    curves = []
     for b in range(n_branches or 0):
         zs = np.array([np.nan + 0j if v is None or len(v) <= b else v[b] for v in values])
         ws = np.array([np.nan if w is None or len(w) <= b else w[b] for w in weights])

@@ -304,16 +304,32 @@ def _interior_point(z, d: int) -> tuple:
     return z
 
 
-def _antidiagonal_poisson(etas, weights, w: complex) -> float:
-    """Poisson integral sum_k w_k P_w(eta_k) of weighted subtori at w = z1 ... zd.
+def _antidiagonal_poisson(etas, weights):
+    """w -> Poisson integral sum_k w_k P_w(eta_k) of weighted subtori at w = z1 ... zd.
 
     On the subtorus {zeta_1 ... zeta_d = eta} the integrand
     P_{z1}(zeta_1) ... P_{zd}(zeta_d) is a (d-1)-fold circular convolution of
     Poisson kernels, and P_a * P_b = P_ab, so the subtorus through eta
     contributes exactly P_{z1 ... zd}(eta); for d = 2 it is the antidiagonal.
-    The value is exact up to rounding; no quadrature is involved.
+    The value is exact up to rounding; no quadrature is involved.  A call
+    runs weights * poisson_kernel(w, etas) in place in buffers made once,
+    since atom-sized temporaries made glibc trim and regrow the heap at
+    every point on some runs.  The zero tail is pairwise_sum's padding.
     """
-    return float(pairwise_sum(weights * poisson_kernel(w, etas)))
+    n = len(etas)
+    diff = np.empty_like(etas)
+    padded = np.zeros(1 << (n - 1).bit_length() if n else 0)
+    kernel = padded[:n]
+
+    def at(w: complex) -> float:
+        np.subtract(etas, w, out=diff)
+        np.abs(diff, out=kernel)
+        np.square(kernel, out=kernel)
+        np.divide(1.0 - abs(w) ** 2, kernel, out=kernel)
+        np.multiply(weights, kernel, out=kernel)
+        return float(pairwise_sum(padded))
+
+    return at
 
 
 def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
@@ -328,6 +344,7 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     etas, weights, graph_items = mu._antidiagonal_block
+    antidiagonal = _antidiagonal_poisson(etas, weights)
     remainder = None
     if graph_items or mu.lines:
         remainder = ClarkMeasure2D(curves=tuple(comp for _, comp in graph_items),
@@ -335,7 +352,7 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
-        value = _antidiagonal_poisson(etas, weights, z1 * z2) if len(etas) else 0.0
+        value = antidiagonal(z1 * z2) if len(etas) else 0.0
         error = 0.0
         if mu.tail_bound:
             if remainder is None:
@@ -369,12 +386,11 @@ def embed_integrator(em: EmbeddedClarkND, grid: QuadratureGrid = None):
     """
     base = em.base
     d = em.dimension
-    etas = base.points_array()
-    weights = base.weights_array()
+    antidiagonal = _antidiagonal_poisson(base.points_array(), base.weights_array())
 
     def integrate(z) -> IntegralResult:
         w = math.prod(_interior_point(z, d))
-        value = _antidiagonal_poisson(etas, weights, w)
+        value = antidiagonal(w)
         return IntegralResult(value, base.tail_bound * _poisson_sup(w))
 
     return integrate
@@ -550,10 +566,12 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
 
     moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
     moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
-    # antidiagonal moments depend on k2 alone: one pass over the atoms each
+    # antidiagonal moments depend on k2 alone: one pass over the atoms each,
+    # into one buffer rather than an atom-sized temporary per k2
     eta_moments = {}
     if len(etas):
-        eta_moments = {k2: complex(weights @ etas ** (-k2))
+        power = np.empty_like(etas)
+        eta_moments = {k2: complex(weights @ np.power(etas, -k2, out=power))
                        for k2 in range(-kmax, kmax + 1) if k2}
 
     pairs = [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clark_measures.clark1d import (
+    DegenerateDerivativeError,
     UnsupportedFunctionError,
     clark_atomic_singular,
     clark_blaschke,
@@ -126,6 +127,44 @@ class TestClarkBlaschke:
             assert circle_distance(got, want) <= 1e-11
         for _, w in mu.atoms:
             assert w == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        degree=st.integers(min_value=1, max_value=6),
+        exponent=st.floats(min_value=1.0, max_value=15.0),
+    )
+    def test_zeros_near_the_circle(self, data, degree, exponent):
+        # one zero at distance 10^-exponent from the circle: either every
+        # atom is right, or the call says it cannot resolve them
+        angle = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
+        m = data.draw(st.integers(min_value=0, max_value=degree - 1))
+        near = (1.0 - 10.0 ** -exponent) * cmath.exp(1j * data.draw(angle))
+        others = tuple(
+            data.draw(st.floats(min_value=0.0, max_value=0.85)) * cmath.exp(1j * data.draw(angle))
+            for _ in range(degree - m - 1)
+        )
+        phi = InnerFunction1D(
+            unimodular_factor=UnimodularConstant.from_nu(data.draw(angle)),
+            monomial_power=m,
+            blaschke_zeros=(near,) + others,
+        )
+        alpha = UnimodularConstant.from_nu(data.draw(angle))
+        try:
+            mu = clark_blaschke(phi, alpha)
+        except DegenerateDerivativeError:
+            return
+        oracle = level_roots_oracle(phi, alpha)
+        assert len(mu.atoms) == degree == len(oracle)
+        for zeta, _ in mu.atoms:
+            assert min(circle_distance(zeta.theta, t) for t in oracle) <= 1e-9
+        # weights are resolved to a relative 1e-8; the mass 1 - |phi(0)|^2
+        # over |alpha - phi(0)|^2 >= (1 - |phi(0)|)^2 loses the rounding of
+        # |phi(0)|, a product of degree + 1 factors, times the condition
+        # number 1/(1 - |phi(0)|^2) of each
+        phi0 = abs(eval_inner(phi, 0.0))
+        rel = 1e-8 + 8 * (degree + 1) * np.finfo(float).eps / (1.0 - phi0 * phi0)
+        assert mu.total_listed_mass == pytest.approx(herglotz_rhs_origin(phi, alpha), rel=rel)
 
     def test_rejects_constant_and_singular(self):
         with pytest.raises(UnsupportedFunctionError):

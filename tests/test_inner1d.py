@@ -6,6 +6,7 @@ import pytest
 
 from clark_measures.inner1d import (
     InnerFunction1D,
+    _blaschke_phase,
     Unimodular,
     Zero,
     angular_derivative_modulus,
@@ -16,6 +17,7 @@ from clark_measures.inner1d import (
     eval_inner,
 )
 from clark_measures.torus_core import DiskPoint, TorusPoint, UnimodularConstant
+from test_acceptance import _random_blaschke
 
 TWO_PI = 2.0 * math.pi
 
@@ -98,6 +100,21 @@ class TestBoundaryValue:
         for theta, v in zip(thetas, vals):
             radial = eval_inner(EXP_ATOM, (1 - 1e-9) * cmath.exp(1j * theta))
             assert v == pytest.approx(radial, abs=1e-7)
+
+
+class TestBlaschkePhase:
+    def test_matches_unwrapped_boundary_phase(self):
+        # criterion 02's random Blaschke products, against an independent lift
+        rng = np.random.default_rng(1729)
+        thetas = np.linspace(0.0, TWO_PI, 20001)
+        for _ in range(20):
+            phi, n = _random_blaschke(rng)
+            lift = _blaschke_phase(phi, thetas)
+            unwrapped = np.unwrap(np.angle(boundary_values_array(phi, thetas)))
+            turns = (lift - unwrapped) / TWO_PI
+            assert np.max(np.abs(turns - round(turns[0]))) <= 1e-12
+            assert np.all(np.diff(lift) > 0)
+            assert lift[-1] - lift[0] == pytest.approx(TWO_PI * n, abs=1e-12)
 
 
 class TestDerivative:

@@ -240,6 +240,25 @@ class TestBlaschkeExpBranches:
             blaschke_exp_branches(1.2, 0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    thetas=st.lists(
+        st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+        min_size=1, max_size=50,
+    ),
+    nu=st.floats(min_value=0.0, max_value=2 * math.pi, exclude_max=True),
+)
+def test_branch_rules_are_functions_of_their_point(thetas, nu):
+    zeta = np.exp(1j * np.array(thetas))
+    reversed_zeta = np.ascontiguousarray(zeta[::-1])
+    families = blaschke_exp_branches(LAM, nu) + tuple(expexp_branches(nu, k) for k in (-3, 0, 2))
+    for rule in (rule for branch in families for rule in branch):
+        batch = rule(zeta)
+        np.testing.assert_array_equal(rule(reversed_zeta)[::-1], batch)
+        alone = np.concatenate([rule(zeta[j:j + 1]) for j in range(len(zeta))])
+        np.testing.assert_array_equal(alone, batch)
+
+
 class TestProductIntegrate:
     def test_identity_product_matches_embedding(self):
         P = ProductInner(IDENT, IDENT)

@@ -30,7 +30,7 @@ from clark_measures.product2d import (
     product_branch_measure,
     product_clark_integrate,
 )
-from clark_measures.torus_core import poisson_kernel
+from clark_measures.torus_core import pairwise_sum, poisson_kernel
 from clark_measures.verify import (
     EMBED_BASE_REL,
     FOURIER_BASE_TOL,
@@ -144,6 +144,19 @@ class TestIntegrators:
             generic = integrate_measure2d(mu, poisson_f(*z), GRID)
             assert abs(fast(z).value - generic.value.real) <= 1e-10
             assert abs(via_measure(z).value - generic.value.real) <= 1e-10
+
+    def test_in_place_antidiagonal_sum_is_the_kernel_sum(self):
+        # the integrators reuse buffers; each point must still give the
+        # bits of the plain expression, whatever points came before
+        alpha = UnimodularConstant.from_nu(0.7)
+        for K in (0, 1, 25, 600):
+            mu = embed_clark2d(EXP, alpha, K=K) if K else embed_clark2d(IDENT, alpha)
+            etas = np.array([c.kind.eta.value for c in mu.curves])
+            weights = np.array([c.weight for c in mu.curves])
+            integrate = measure_integrator(mu, GRID)
+            for z1, z2 in sample_test_points(2, 20):
+                expected = float(pairwise_sum(weights * poisson_kernel(z1 * z2, etas)))
+                assert integrate((z1, z2)).value == expected
 
     def test_nd_fast_path_matches_nested(self):
         alpha = UnimodularConstant.from_nu(0.7)
