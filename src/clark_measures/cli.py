@@ -37,6 +37,7 @@ from .product2d import ProductInner, product_branch_measure, product_map
 from .rif2d import (
     RIF_n1,
     RIFError,
+    _snap_exceptional,
     exceptional_values,
     rif_clark_measure,
     rif_map,
@@ -442,6 +443,7 @@ def _cmd_verify(spec: CommandSpec) -> int:
     else:
         R = _load_rif(spec.input)
         rule = rif_map(R)
+        alpha, _ = _compute(lambda: _snap_exceptional(R, alpha))  # the level mu is built at
         mu = _compute(lambda: rif_clark_measure(R, alpha))
         integrate = measure_integrator(mu, grid)
         base_rel, dim, count = RIF_BASE_REL, 2, 100

@@ -542,6 +542,19 @@ class _OuterFiber:
         return IntegralResult(value=value, error_bound=abs(value - half_grid) + dropped_bound)
 
 
+def _folded_mean(full, half) -> IntegralResult:
+    """Richardson-extrapolated mean of the full- and half-window sums over the
+    folded s grid; the bound adds its grid-halving change and the step."""
+    n_s = len(full)
+    i_full = complex(pairwise_sum(full) / n_s)
+    i_half = complex(pairwise_sum(half) / n_s)
+    value = i_full + (i_full - i_half) / 3.0
+    evens = complex(pairwise_sum(full[::2]) / (n_s // 2))
+    evens_r = evens + (evens - complex(pairwise_sum(half[::2]) / (n_s // 2))) / 3.0
+    error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
+    return IntegralResult(value=value, error_bound=error)
+
+
 class _ExpExpFiber:
     """Both factors single-atom singular.
 
@@ -569,15 +582,7 @@ class _ExpExpFiber:
 
     def combine(self, q, p) -> IntegralResult:
         (q_full, q_half), (p_full, p_half) = q, p
-        full, half = q_full * p_full, q_half * p_half
-        n_s = len(full)
-        i_full = complex(pairwise_sum(full) / n_s)
-        i_half = complex(pairwise_sum(half) / n_s)
-        value = i_full + (i_full - i_half) / 3.0
-        evens = complex(pairwise_sum(full[::2]) / (n_s // 2))
-        evens_r = evens + (evens - complex(pairwise_sum(half[::2]) / (n_s // 2))) / 3.0
-        error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
-        return IntegralResult(value=value, error_bound=error)
+        return _folded_mean(q_full * p_full, q_half * p_half)
 
     def integrate(self, f) -> IntegralResult:
         """A general f(z_1, z_2) takes the nested layer sum instead."""
@@ -645,14 +650,7 @@ def _integrate_expexp_general(P, alpha, f, grid, K):
     corner_full, corner_half = fiber_sums(np.full(n_s, xi1.value))
     total_full += (w1 - kern1_full) * corner_full
     total_half += (w1 - kern1_half) * corner_half
-    i_full = complex(pairwise_sum(total_full) / n_s)
-    i_half = complex(pairwise_sum(total_half) / n_s)
-    value = i_full + (i_full - i_half) / 3.0
-    evens_f = complex(pairwise_sum(total_full[::2]) / (n_s // 2))
-    evens_h = complex(pairwise_sum(total_half[::2]) / (n_s // 2))
-    evens_r = evens_f + (evens_f - evens_h) / 3.0
-    error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
-    return IntegralResult(value=value, error_bound=error)
+    return _folded_mean(total_full, total_half)
 
 
 def product_clark_integrate(

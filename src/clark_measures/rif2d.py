@@ -127,21 +127,18 @@ def reflect(q: Poly1, n: int) -> Poly1:
     return Poly1(tuple(c.conjugate() for c in reversed(padded)))
 
 
-def _autocorrelation(q: Poly1) -> np.ndarray:
-    """Coefficients a_m of |q(e^{i theta})|^2 = sum a_m e^{i m theta}, m = -d..d."""
-    c = np.array(q.coefficients, dtype=complex)
-    return np.correlate(c, c, mode="full")
+def _trig_eval(corr: np.ndarray, zeta, order: int = 0):
+    """Re sum_m a_m (i m)^order zeta^m, m = -d..d, at unimodular points zeta.
 
-
-def _trig_eval(corr: np.ndarray, theta, order: int = 0):
+    corr holds a_{-d}..a_d.  On the circle the sum is conj(zeta)^d P(zeta), P
+    the polynomial with corr's coefficients, which Horner's rule evaluates.
+    """
     d = (len(corr) - 1) // 2
-    m = np.arange(-d, d + 1)
-    factor = (1j * m) ** order if order else np.ones_like(m)
-    theta_arr = np.asarray(theta, dtype=float)
-    phases = np.exp(1j * np.outer(theta_arr.ravel(), m))
-    out = phases @ (corr * factor)
-    out = out.real.reshape(theta_arr.shape)
-    return float(out) if np.isscalar(theta) else out
+    corr = corr * (1j * np.arange(-d, d + 1)) ** order
+    z = np.asarray(zeta, dtype=complex)
+    flat = z.ravel()  # numpy's scalar complex product rounds unlike its array loop
+    out = (np.conj(flat) ** d * npp.polyval(flat, corr)).real.reshape(z.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -309,57 +306,46 @@ def b_alpha(R: RIF_n1, alpha: UnimodularConstant) -> LevelRational:
 
 
 def _weight_correlations(R: RIF_n1, alpha: UnimodularConstant):
-    num_corr_1 = _autocorrelation(R.p1)
-    num_corr_2 = _autocorrelation(R.p2)
-    width = max(len(num_corr_1), len(num_corr_2))
-    num_corr = np.zeros(width, dtype=complex)
-    pad1 = (width - len(num_corr_1)) // 2
-    pad2 = (width - len(num_corr_2)) // 2
-    num_corr[pad1:width - pad1] += num_corr_1
-    num_corr[pad2:width - pad2] -= num_corr_2
-    den_poly = _poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha))
-    den_corr = _autocorrelation(den_poly)
-    if len(den_corr) < width:
-        pad = (width - len(den_corr)) // 2
-        den_corr = np.pad(den_corr, (pad, pad))
-    elif len(den_corr) > width:
-        num_corr = np.pad(num_corr, ((len(den_corr) - width) // 2,) * 2)
-    return num_corr, den_corr
+    """Laurent coefficients a_{-n}..a_n of W_alpha's numerator and denominator.
+
+    On the circle the resultant p1 q1 - p2 q2 is zeta^n (|p1|^2 - |p2|^2), so
+    the numerator's a_m is its coefficient of z^(n+m).  The denominator
+    |D|^2, D = q1 - alpha p2 the numerator of B_alpha, is D's autocorrelation.
+    """
+    res = np.array(R._resultant.coefficients)
+    v = np.array(_poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha)).coefficients)
+    v = np.pad(v, (0, R.n + 1 - len(v)))
+    return np.pad(res, (0, 2 * R.n + 1 - len(res))), np.correlate(v, v, "full")
 
 
-def _limit_ratio(num_corr, den_corr, theta: float) -> float:
-    """lim num/den at theta for vanishing trig-polynomial denominators."""
+def _limit_ratio(num_corr, den_corr, zeta: complex) -> float:
+    """lim num/den at the unimodular point zeta, where the denominator vanishes."""
     d = (len(den_corr) - 1) // 2
     scale = float(np.sum(np.abs(den_corr)))
     for order in range(1, 2 * d + 1):
-        den_val = _trig_eval(den_corr, theta, order)
+        den_val = _trig_eval(den_corr, zeta, order)
         if abs(den_val) > 1e-8 * scale * max(1.0, d) ** order:
-            return max(_trig_eval(num_corr, theta, order) / den_val, 0.0)
-    raise RIFError(f"weight limit does not resolve at angle {theta}")
+            return max(_trig_eval(num_corr, zeta, order) / den_val, 0.0)
+    raise RIFError(f"weight limit does not resolve at {zeta}")
 
 
 def w_alpha(R: RIF_n1, alpha: UnimodularConstant, zeta: TorusPoint) -> float:
-    """W_alpha(zeta) = (|p1|^2 - |p2|^2)/|q1 - alpha p2|^2, with the limiting
-    value substituted where the denominator vanishes (exceptional alpha)."""
-    num_corr, den_corr = _weight_correlations(R, alpha)
-    den = _trig_eval(den_corr, zeta.theta)
-    if den > _DENOMINATOR_FLOOR:
-        return max(_trig_eval(num_corr, zeta.theta) / den, 0.0)
-    return _limit_ratio(num_corr, den_corr, zeta.theta)
+    """W_alpha at one torus point: w_alpha_values at zeta alone."""
+    return float(w_alpha_values(R, alpha, np.array([zeta.value]))[0])
 
 
 def w_alpha_values(R: RIF_n1, alpha: UnimodularConstant, zeta) -> np.ndarray:
-    """Vectorized W_alpha over an array of unimodular points."""
+    """W_alpha = (|p1|^2 - |p2|^2)/|q1 - alpha p2|^2 at unimodular points zeta,
+    the ratio of _weight_correlations' polynomials; where the denominator
+    vanishes (exceptional alpha) the limiting value is substituted."""
     zeta = np.asarray(zeta, dtype=complex)
-    thetas = np.mod(np.angle(zeta), 2.0 * math.pi)
     num_corr, den_corr = _weight_correlations(R, alpha)
-    num = _trig_eval(num_corr, thetas)
-    den = _trig_eval(den_corr, thetas)
-    with np.errstate(all="ignore"):
-        out = np.where(den > _DENOMINATOR_FLOOR, num / np.where(den > 0, den, 1.0), np.nan)
-    out = np.maximum(out, 0.0)
-    for idx in np.flatnonzero(~np.isfinite(out)):
-        out[idx] = _limit_ratio(num_corr, den_corr, float(thetas[idx]))
+    num = _trig_eval(num_corr, zeta)
+    den = _trig_eval(den_corr, zeta)
+    resolved = den > _DENOMINATOR_FLOOR
+    out = np.maximum(num / np.where(resolved, den, 1.0), 0.0)
+    for idx in np.flatnonzero(~resolved):
+        out[idx] = _limit_ratio(num_corr, den_corr, complex(zeta[idx]))
     return out
 
 
@@ -423,12 +409,13 @@ def singularities(R: RIF_n1):
     return tuple(found)
 
 
-def _radial_limit(values_at):
-    """Richardson-extrapolated limit of values_at(r) along r = 1 - 2^-m."""
+def _radial_limit(R: RIF_n1, z1: complex, z2: complex) -> complex:
+    """Richardson-extrapolated limit of phi(r z1, r z2) along r = 1 - 2^-m."""
     previous = None
     extrapolated = None
     for m in range(4, 25):
-        current = complex(values_at(1.0 - 2.0 ** (-m)))
+        r = 1.0 - 2.0 ** (-m)
+        current = complex(R.numerator(r * z1, r * z2) / R.denominator(r * z1, r * z2))
         if previous is not None:
             nxt = 2.0 * current - previous
             if extrapolated is not None and abs(nxt - extrapolated) < 1e-9:
@@ -450,21 +437,26 @@ def rif_boundary_value(R: RIF_n1, zeta) -> complex:
     )
     if abs(den) > 1e-10 * scale:
         return complex(R.numerator(z1, z2) / den)
-    return _radial_limit(lambda r: R.numerator(r * z1, r * z2) / R.denominator(r * z1, r * z2))
+    return _radial_limit(R, z1, z2)
 
 
 def exceptional_values(R: RIF_n1):
     """Nontangential values of phi at its torus singularities, deduplicated."""
     values = []
     for tau, gamma in singularities(R):
-        limit = _radial_limit(
-            lambda r: R.numerator(r * tau.value, r * gamma.value)
-            / R.denominator(r * tau.value, r * gamma.value)
-        )
+        limit = _radial_limit(R, tau.value, gamma.value)
         alpha = UnimodularConstant.from_complex(limit, tol=1e-6)
         if not any(circle_distance(alpha.nu, v.nu) < 1e-8 for v in values):
             values.append(alpha)
     return tuple(values)
+
+
+def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant):
+    """(level, exceptional): alpha, or the exceptional value within 1e-6 of it."""
+    for value in exceptional_values(R):
+        if circle_distance(alpha.nu, value.nu) <= _EXCEPTIONAL_SNAP:
+            return value, True
+    return alpha, False
 
 
 def _dphi_dz1(R: RIF_n1, z1: complex, z2: complex) -> complex:
@@ -503,21 +495,14 @@ def rif_clark_measure(
 ) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
     (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated."""
-    snapped, is_exceptional = alpha, False
-    for value in exceptional_values(R):
-        if circle_distance(alpha.nu, value.nu) <= _EXCEPTIONAL_SNAP:
-            snapped, is_exceptional = value, True
-            break
+    snapped, is_exceptional = _snap_exceptional(R, alpha)
     level = b_alpha(R, snapped)
     weight_rule = lambda zeta: w_alpha_values(R, snapped, zeta)  # noqa: E731
     curve = CurveComponent(kind=Graph(level.curve_rule()), weight=weight_rule)
     lines = []
     if is_exceptional:
         for tau, gamma in singularities(R):
-            value = _radial_limit(
-                lambda r: R.numerator(r * tau.value, r * gamma.value)
-                / R.denominator(r * tau.value, r * gamma.value)
-            )
+            value = _radial_limit(R, tau.value, gamma.value)
             if circle_distance(math.atan2(value.imag, value.real), snapped.nu) < 1e-8:
                 lines.append(LineComponent(tau=tau, constant=line_constant(R, tau)))
     return ClarkMeasure2D(curves=(curve,), lines=tuple(lines), tail_bound=0.0)

@@ -333,6 +333,15 @@ class TestVerify:
         assert len(report.fourier) == 128
         assert report.mass.passed
 
+    @pytest.mark.parametrize("nu", ["0", "0.785398", "1.570796", "3.141593"])
+    def test_rif_report_checks_the_snapped_level(self, capsys, specs, nu):
+        # 3.141593 lies within 1e-6 of the exceptional value pi, so the measure
+        # is built at pi and the report checks it there
+        code, out, _ = run_cli(capsys, "verify", "--rif", specs["example36"],
+                               "--alpha", nu)
+        assert code == 0
+        assert VerificationReport.from_json_dict(json.loads(out)).passed
+
     def test_embed_report(self, capsys, specs):
         code, out, _ = run_cli(capsys, "verify", "--embed", specs["monomial1"],
                                "--alpha", "0", "--N", "1024", "--K", "4")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clark_measures import (
@@ -29,6 +29,7 @@ from clark_measures.rif2d import (
     w_alpha,
     w_alpha_values,
 )
+from clark_measures.rif2d import _trig_eval, _weight_correlations
 
 GRID = QuadratureGrid(4096)
 
@@ -220,6 +221,107 @@ class TestWeight:
         coarse = np.mean(w_alpha_values(R, alpha, QuadratureGrid(4096).points()))
         fine = np.mean(w_alpha_values(R, alpha, QuadratureGrid(8192).points()))
         assert abs(fine - coarse) / abs(fine) <= 1e-8
+
+
+@st.composite
+def stable_rifs(draw):
+    """A stable atoral RIF_n1, n = 1..4, with any deg p1, deg p2 <= n.
+
+    p1 has roots of modulus >= 1.2; p2 is scaled so that max |p2| is at most
+    0.9 min |p1| on a fine circle grid.
+    """
+    n = draw(st.integers(1, 4))
+    d1, d2 = draw(st.integers(0, n)), draw(st.integers(0, n))
+    roots = [
+        r * complex(math.cos(t), math.sin(t))
+        for r, t in draw(
+            st.lists(
+                st.tuples(st.floats(1.2, 4.0), st.floats(0.0, 2 * math.pi)),
+                min_size=d1,
+                max_size=d1,
+            )
+        )
+    ]
+    lead = draw(st.floats(0.2, 5.0)) * np.exp(1j * draw(st.floats(0.0, 2 * math.pi)))
+    c1 = lead * np.polynomial.polynomial.polyfromroots(roots) if d1 else np.array([lead])
+    c2 = np.array(
+        draw(
+            st.lists(
+                st.complex_numbers(
+                    max_magnitude=1.0, allow_nan=False, allow_infinity=False, allow_subnormal=False
+                ),
+                min_size=d2 + 1,
+                max_size=d2 + 1,
+            )
+        )
+    )
+    circle = QuadratureGrid(8192).points()
+    p2_max = float(np.max(np.abs(np.polynomial.polynomial.polyval(circle, c2))))
+    if p2_max > 0.0:
+        p1_min = float(np.min(np.abs(np.polynomial.polynomial.polyval(circle, c1))))
+        c2 = c2 / p2_max * (draw(st.floats(0.0, 0.9)) * p1_min)
+    try:
+        return RIF_n1(p1=Poly1(tuple(c1)), p2=Poly1(tuple(c2)), n=n)
+    except RIFError:
+        assume(False)
+
+
+class TestRandomWeights:
+    POINTS = np.exp(1j * np.random.default_rng(11).uniform(0.0, 2 * math.pi, 257))
+
+    @settings(max_examples=200, deadline=None)
+    @given(R=stable_rifs(), nu=st.floats(0.0, 2 * math.pi))
+    def test_weights_match_the_direct_ratio(self, R, nu):
+        alpha = UnimodularConstant.from_nu(nu)
+        z = self.POINTS
+        p1, p2 = R.p1(z), R.p2(z)
+        num = np.abs(p1) ** 2 - np.abs(p2) ** 2
+        den = np.abs(R.p1_reflected(z) - alpha.alpha * p2) ** 2
+        direct = num / den
+        values = w_alpha_values(R, alpha, z)
+        # Horner's forward error on each coefficient sum: the resultant form
+        # loses accuracy where |p1| is small against its coefficients.
+        num_corr, den_corr = _weight_correlations(R, alpha)
+        horner = 8 * (2 * R.n + 1) * np.finfo(float).eps
+        rounding = horner * (np.abs(num_corr).sum() + direct * np.abs(den_corr).sum()) / den
+        assert np.all(np.abs(values - direct) <= 1e-11 * direct + rounding)
+        point = TorusPoint(nu)
+        one = w_alpha_values(R, alpha, np.array([point.value]))[0]
+        assert w_alpha(R, alpha, point) == one
+
+    @settings(max_examples=200, deadline=None)
+    @given(R=stable_rifs(), nu=st.floats(0.0, 2 * math.pi))
+    def test_numerator_is_the_resultant(self, R, nu):
+        num_corr, den_corr = _weight_correlations(R, UnimodularConstant.from_nu(nu))
+        res = np.array(R._resultant.coefficients)
+        width = 2 * R.n + 1
+        assert len(num_corr) == len(den_corr) == width
+        assert np.array_equal(num_corr, np.pad(res, (0, width - len(res))))
+        # the Laurent coefficients of |p1|^2 - |p2|^2, m = -n..n
+        laurent = np.zeros(width, dtype=complex)
+        for q, sign in ((R.p1, 1.0), (R.p2, -1.0)):
+            c = np.array(q.coefficients)
+            pad = width // 2 - (len(c) - 1)
+            laurent[pad:width - pad] += sign * np.correlate(c, c, "full")
+        scale = np.abs(R.p1.coefficients).sum() ** 2
+        assert np.max(np.abs(num_corr - laurent)) <= 1e-14 * scale
+
+
+class TestTrigEval:
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_the_trigonometric_sum(self, d, order):
+        rng = np.random.default_rng(100 * d + order)
+        m = np.arange(-d, d + 1)
+        for _ in range(20):
+            half = rng.normal(size=d) + 1j * rng.normal(size=d)
+            corr = np.concatenate([np.conj(half[::-1]), [rng.normal()], half])
+            thetas = rng.uniform(0.0, 2 * math.pi, 64)
+            exact = (np.exp(1j * np.outer(thetas, m)) @ (corr * (1j * m) ** order)).real
+            values = _trig_eval(corr, np.exp(1j * thetas), order)
+            scale = np.sum(np.abs(corr) * np.abs(m) ** order)
+            assert np.max(np.abs(values - exact)) <= 1e-13 * scale
+            assert _trig_eval(corr, np.exp(1j * thetas[0]), order) == values[0]
 
 
 class TestSingularities:
