@@ -15,15 +15,19 @@ beta = alpha conj(outer factor boundary value).  Three evaluation paths:
   in the layer count.
 
 The fiber geometry depends only on (P, alpha, grid, K), so each path builds
-it once, as a fiber object: the companion-matrix roots and weights, or the
-Lorentzian weights, the atoms and the truncation remainders of every
-singular fiber (for the full and the half window), built in chunks of rows.
-An integrand f_1(z_1) f_2(z_2) then costs one sum over the cached fiber
-atoms per factor, of f on that factor alone, streamed in the same chunks,
-and one weighted sum over the outer nodes.  product_clark_integrate builds
-a fiber per call; verify.product_integrator and
-verify.product_fourier_rp_check build one and reuse it for every point,
-every Fourier entry and the mass check.
+it once, as a fiber object.  A Blaschke fiber caches its companion-matrix
+roots and weights.  A singular fiber keeps only per-level data: its levels,
+the shifts 2 pi k and the truncation remainders (for the full and the half
+window).  Its atoms and Lorentzian weights are formed from them one chunk
+of rows at a time, in buffers made once per fiber, so no (2K+1) x N array
+is held.  An integrand f_1(z_1) f_2(z_2) then costs one pass over the fiber
+per factor, of f on that factor alone, and one weighted sum over the outer
+nodes.  On a singular fiber the Poisson kernel and the monomials w^-m have
+closed-form real passes (poisson_profile, moment_profiles); any other f
+takes the generic pass, which the tests keep as their oracle.
+product_clark_integrate builds a fiber per call; verify.product_integrator
+and verify.product_fourier_rp_check build one and reuse it for every
+point, every Fourier entry and the mass check.
 
 Closed-form branch families are provided for the two classical examples
 (exp x exp and Blaschke-pair x exp) and cross-checked against the generic
@@ -63,6 +67,7 @@ from .torus_core import (
     UnimodularConstant,
     max_undefined_nodes,
     pairwise_sum,
+    poisson_kernel,
 )
 
 __all__ = [
@@ -435,24 +440,30 @@ class _LorentzFiber:
     At level angle base_j the atoms sit at eta_kj = xi (y + ic)/(y - ic) with
     weights lor_kj = 2c/(c^2 + y^2), y = base_j + 2 pi k.  The omitted weight
     wrapped(base_j) - sum_k lor_kj, for the full and for the half window, is
-    put at xi, where the omitted atoms accumulate.  All of it depends only
-    on the levels, so it is built once; sums() is the pass per integrand.
+    put at xi, where the omitted atoms accumulate.  Only per-level data is
+    kept: base, the shifts 2 pi k and the two remainders.  Each pass forms y
+    one chunk of rows at a time in buffers made once per fiber, so no
+    (2K+1) x N array is held and the closed-form passes (poisson_sums,
+    moment_sums) allocate nothing chunk-sized; sums() is the generic pass.
+    Since every pass writes those buffers, one fiber serves one thread.
     """
 
     def __init__(self, base: np.ndarray, c: float, xi: complex, K: int):
-        self.xi = xi
+        self.base, self.c, self.xi = base, c, xi
+        self.shifts = TWO_PI * np.arange(-K, K + 1)
         self.chunks = _row_chunks(K, len(base))
-        shifts = TWO_PI * np.arange(-K, K + 1)
-        self.lor = np.empty((2 * K + 1, len(base)))
-        self.eta = np.empty(self.lor.shape, dtype=complex)
-        for rows, _ in self.chunks:
-            y = base + shifts[rows, None]
-            self.lor[rows] = _lorentz(c, y)
-            self.eta[rows] = _exp_point(xi, c, y)
+        shape = (max(rows.stop - rows.start for rows, _ in self.chunks), len(base))
+        self._y = np.empty(shape)
+        self._sigma = np.empty(shape, dtype=complex)
+        self._term = np.empty(shape, dtype=complex)
         wrapped = _wrapped_lorentz(c, base)
-        full, half = self._window_sums(lambda rows: self.lor[rows])
+        full, half = self._window_sums(lambda rows: _lorentz(c, self._levels(rows, base)))
         self.rem_full = wrapped - full
         self.rem_half = wrapped - half
+
+    def _levels(self, rows, base):
+        y = self._y[: rows.stop - rows.start]
+        return np.add(base, self.shifts[rows, None], out=y)
 
     def _window_sums(self, term):
         inside = outside = 0.0
@@ -464,6 +475,19 @@ class _LorentzFiber:
                 outside = outside + part
         return inside + outside, inside
 
+    def _stream(self, terms, base, count, dtype):
+        """Full- and half-window sums of the count blocks terms(y) yields per
+        chunk of levels y = base + 2 pi k, each block summed over its rows."""
+        inside = np.zeros((count, len(base)), dtype=dtype)
+        outside = np.zeros_like(inside)
+        part = np.empty(len(base), dtype=dtype)
+        for rows, is_inside in self.chunks:
+            acc = inside if is_inside else outside
+            for j, block in enumerate(terms(self._levels(rows, base))):
+                np.add.reduce(block, axis=0, out=part)
+                acc[j] += part
+        return inside + outside, inside
+
     def sums(self, f):
         """Full- and half-window sums sum_k lor_k f(eta_k) + rem f(xi) per level.
 
@@ -471,20 +495,102 @@ class _LorentzFiber:
         chunk of rows at a time.  A level where f is not finite at some atom
         gets a non-finite sum.
         """
+        c, xi = self.c, self.xi
+
+        def term(rows):
+            y = self._levels(rows, self.base)
+            return _lorentz(c, y) * f(_exp_point(xi, c, y))
+
         with np.errstate(all="ignore"):
-            corner = f(np.full((1, self.lor.shape[1]), self.xi))[0]
-            full, half = self._window_sums(lambda rows: self.lor[rows] * f(self.eta[rows]))
+            corner = f(np.full((1, len(self.base)), xi))[0]
+            full, half = self._window_sums(term)
             return full + self.rem_full * corner, half + self.rem_half * corner
 
+    def poisson_sums(self, z: complex):
+        """sums(P_z) in closed form: lor P_z(eta) = 2q/((y - p)^2 + q^2).
 
-class _OuterFiber:
+        |(xi - z) y + ic(xi + z)|^2 = |xi - z|^2 ((y - p)^2 + q^2) with
+        p - iq = -ic(xi + z)/(xi - z), so q = c (1 - |z|^2)/|xi - z|^2 > 0
+        and each term is one shifted Lorentzian in y, formed in place with
+        no complex eta and no cancellation.
+        """
+        xi = self.xi
+        d2 = abs(xi - z) ** 2
+        p = 2.0 * self.c * (z * xi.conjugate()).imag / d2
+        q = self.c * (1.0 - abs(z) ** 2) / d2
+
+        def terms(u):
+            np.square(u, out=u)
+            np.add(u, q * q, out=u)
+            yield np.divide(2.0 * q, u, out=u)
+
+        full, half = self._stream(terms, self.base - p, 1, float)
+        corner = poisson_kernel(z, xi)
+        return full[0] + self.rem_full * corner, half[0] + self.rem_half * corner
+
+    def moment_sums(self, kmax: int):
+        """{m: sums(lambda w: w ** -m)} for m = +-1..+-kmax, in one pass.
+
+        sigma = eta conj(xi) = (1 - c lor) + i y lor, so the profile of w^m
+        is xi^m (sum_k lor sigma^m + rem): per chunk the term lor is
+        multiplied by sigma kmax times and each power summed.  lor and rem
+        are real, so the profile of w^-m is its conjugate.
+        """
+        c, sigma, term = self.c, self._sigma, self._term
+
+        def terms(y):
+            s, t = sigma[: len(y)], term[: len(y)]
+            lor = t.real
+            np.square(y, out=lor)
+            np.add(lor, c * c, out=lor)
+            np.divide(2.0 * c, lor, out=lor)
+            t.imag[...] = 0.0
+            np.multiply(lor, -c, out=s.real)
+            np.add(s.real, 1.0, out=s.real)
+            np.multiply(y, lor, out=s.imag)
+            for _ in range(kmax):
+                yield np.multiply(t, s, out=t)
+
+        full, half = self._stream(terms, self.base, kmax, complex)
+        profiles = {}
+        for m in range(1, kmax + 1):
+            corner = self.xi ** m
+            profiles[-m] = (corner * (full[m - 1] + self.rem_full),
+                            corner * (half[m - 1] + self.rem_half))
+            profiles[m] = tuple(np.conj(v) for v in profiles[-m])
+        return profiles
+
+
+class _FiberProfiles:
+    """Per-point profiles of a fiber quadrature: closed form on a Lorentzian
+    side, the generic profile(axis, f) on any other.  A subclass names its
+    Lorentzian side of an axis, or None, by _lorentz_side(axis)."""
+
+    def poisson_profile(self, axis, z: complex):
+        """profile(axis, P_z)."""
+        side = self._lorentz_side(axis)
+        if side is None:
+            return self.profile(axis, lambda w: poisson_kernel(z, w))
+        return side.poisson_sums(z)
+
+    def moment_profiles(self, axis, kmax: int):
+        """{m: profile(axis, lambda w: w ** -m)} for m = +-1..+-kmax."""
+        side = self._lorentz_side(axis)
+        if side is None:
+            return {m: self.profile(axis, lambda w, m=m: w ** (-m))
+                    for m in range(-kmax, kmax + 1) if m}
+        return side.moment_sums(kmax)
+
+
+class _OuterFiber(_FiberProfiles):
     """Outer quadrature on the grid of the Blaschke factor, with the fibers
     of the other factor at the levels beta = alpha conj(outer boundary value).
 
     With one singular factor, that factor supplies the fibers, as a
     _LorentzFiber; otherwise psi does, through its companion-matrix roots
-    and weights.  fiber_sums(f) gives the full and half-window fiber sums of
-    f per node, half None for the untruncated Blaschke fibers.
+    and weights, which are cached.  fiber_sums(f) gives the full and
+    half-window fiber sums of f per node, half None for the untruncated
+    Blaschke fibers.
     """
 
     def __init__(self, P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
@@ -494,12 +600,17 @@ class _OuterFiber:
         thetas = grid.thetas()
         self.zeta = np.exp(1j * thetas)
         beta = alpha.alpha * np.conj(boundary_values_array(outer, thetas))
+        self.lorentz = None
         if "singular" in kinds:
             a, c, xi = _exp_params(inner)
-            self.fiber_sums = _LorentzFiber(a - np.angle(beta), c, xi.value, K).sums
+            self.lorentz = _LorentzFiber(a - np.angle(beta), c, xi.value, K)
+            self.fiber_sums = self.lorentz.sums
         else:
             roots, weights = _blaschke_fiber_atoms(inner, beta)
             self.fiber_sums = lambda f: (pairwise_sum(f(roots) * weights, axis=0), None)
+
+    def _lorentz_side(self, axis):
+        return self.lorentz if axis == self.fiber_axis else None
 
     def profile(self, axis, f):
         if axis == self.fiber_axis:
@@ -555,7 +666,7 @@ def _folded_mean(full, half) -> IntegralResult:
     return IntegralResult(value=value, error_bound=error)
 
 
-class _ExpExpFiber:
+class _ExpExpFiber(_FiberProfiles):
     """Both factors single-atom singular.
 
     The outer circle is unrolled to the line and folded back onto the s
@@ -576,6 +687,9 @@ class _ExpExpFiber:
         s = TWO_PI * np.arange(n_s) / n_s
         d0 = (a2 + a1 - alpha.nu) % TWO_PI
         return _LorentzFiber(s, c1, xi1.value, K), _LorentzFiber(d0 - s, c2, xi2.value, K)
+
+    def _lorentz_side(self, axis):
+        return self.sides[axis]
 
     def profile(self, axis, f):
         return self.sides[axis].sums(f)

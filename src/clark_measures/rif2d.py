@@ -440,28 +440,38 @@ def rif_boundary_value(R: RIF_n1, zeta) -> complex:
     return _radial_limit(R, z1, z2)
 
 
-def exceptional_values(R: RIF_n1):
-    """Nontangential values of phi at its torus singularities, deduplicated."""
+def _singular_limits(R: RIF_n1):
+    """(tau, gamma, nontangential value of phi there) per torus singularity."""
+    return tuple((tau, gamma, _radial_limit(R, tau.value, gamma.value))
+                 for tau, gamma in singularities(R))
+
+
+def _distinct_levels(limits):
     values = []
-    for tau, gamma in singularities(R):
-        limit = _radial_limit(R, tau.value, gamma.value)
+    for _, _, limit in limits:
         alpha = UnimodularConstant.from_complex(limit, tol=1e-6)
         if not any(circle_distance(alpha.nu, v.nu) < 1e-8 for v in values):
             values.append(alpha)
     return tuple(values)
 
 
-def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant):
-    """(level, exceptional): alpha, or the exceptional value within 1e-6 of it."""
-    for value in exceptional_values(R):
+def exceptional_values(R: RIF_n1):
+    """Nontangential values of phi at its torus singularities, deduplicated."""
+    return _distinct_levels(_singular_limits(R))
+
+
+def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant, limits=None):
+    """(level, exceptional): alpha, or the exceptional value within 1e-6 of it.
+
+    limits, _singular_limits(R), is computed here unless given."""
+    for value in _distinct_levels(_singular_limits(R) if limits is None else limits):
         if circle_distance(alpha.nu, value.nu) <= _EXCEPTIONAL_SNAP:
             return value, True
     return alpha, False
 
 
-def _dphi_dz1(R: RIF_n1, z1: complex, z2: complex) -> complex:
-    p1d, p2d = R.p1.derivative(), R.p2.derivative()
-    q1d, q2d = R.p1_reflected.derivative(), R.p2_reflected.derivative()
+def _dphi_dz1(R: RIF_n1, derivatives, z1: complex, z2: complex) -> complex:
+    p1d, p2d, q1d, q2d = derivatives
     n_val = R.numerator(z1, z2)
     d_val = R.denominator(z1, z2)
     n_der = z2 * q1d(z1) + q2d(z1)
@@ -471,13 +481,19 @@ def _dphi_dz1(R: RIF_n1, z1: complex, z2: complex) -> complex:
 
 def line_constant(R: RIF_n1, tau: TorusPoint) -> float:
     """1/|dphi/dz_1(tau, .)|, checked z_2-independent along the line."""
+    return _line_constant(R, tau, singularities(R))
+
+
+def _line_constant(R: RIF_n1, tau: TorusPoint, sing) -> float:
+    """line_constant with the singularities of R given."""
     samples = np.exp(1j * (0.37 + 2.0 * math.pi * np.arange(16) / 16))
-    sing_z2 = [g.value for t, g in singularities(R) if t.close_to(tau, 1e-8)]
+    sing_z2 = [g.value for t, g in sing if t.close_to(tau, 1e-8)]
+    derivatives = tuple(p.derivative() for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected))
     moduli = []
     for z2 in samples:
         if any(abs(z2 - g) < 1e-3 for g in sing_z2):
             continue
-        moduli.append(abs(_dphi_dz1(R, tau.value, complex(z2))))
+        moduli.append(abs(_dphi_dz1(R, derivatives, tau.value, complex(z2))))
     moduli = np.array(moduli)
     spread = float(np.max(moduli) - np.min(moduli))
     if spread > 1e-8 * max(1.0, float(np.max(moduli))):
@@ -495,14 +511,15 @@ def rif_clark_measure(
 ) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
     (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated."""
-    snapped, is_exceptional = _snap_exceptional(R, alpha)
+    limits = _singular_limits(R)
+    snapped, is_exceptional = _snap_exceptional(R, alpha, limits)
     level = b_alpha(R, snapped)
     weight_rule = lambda zeta: w_alpha_values(R, snapped, zeta)  # noqa: E731
     curve = CurveComponent(kind=Graph(level.curve_rule()), weight=weight_rule)
     lines = []
     if is_exceptional:
-        for tau, gamma in singularities(R):
-            value = _radial_limit(R, tau.value, gamma.value)
+        sing = tuple((tau, gamma) for tau, gamma, _ in limits)
+        for tau, _, value in limits:
             if circle_distance(math.atan2(value.imag, value.real), snapped.nu) < 1e-8:
-                lines.append(LineComponent(tau=tau, constant=line_constant(R, tau)))
+                lines.append(LineComponent(tau=tau, constant=_line_constant(R, tau, sing)))
     return ClarkMeasure2D(curves=(curve,), lines=tuple(lines), tail_bound=0.0)

@@ -401,22 +401,22 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
     """Poisson integrator running through the product fiber quadrature.
 
     The fiber geometry of (P, alpha, grid, K) is built here, once, and
-    serves every point and the mass check (the point 0): the Lorentzian
-    weights, atoms and truncation remainders of a singular fiber factor,
-    or the companion-matrix roots and weights of a Blaschke one.  Per point
-    the integrand P_{z1}(zeta_1) P_{z2}(zeta_2) is split by factor: one
-    pass of the fiber coordinate's kernel over the cached atoms (for exp x
-    exp, of each factor's kernel over its Lorentzian profile), then one
-    weighted sum over the outer nodes.  A point's result does not depend on
-    which points were evaluated before it.
+    serves every point and the mass check (the point 0): the levels and
+    truncation remainders of a singular fiber factor, or the
+    companion-matrix roots and weights of a Blaschke one.  Per point the
+    integrand P_{z1}(zeta_1) P_{z2}(zeta_2) is split by factor: one pass of
+    the fiber coordinate's kernel over its atoms (for exp x exp, of each
+    factor's kernel over its Lorentzian profile), then one weighted sum over
+    the outer nodes.  On a singular fiber that pass is real and closed form,
+    lor P_z(eta) = 2q/((y - p)^2 + q^2) over the level coordinate y.  A
+    point's result does not depend on which points were evaluated before it.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     fiber = _product_fiber(P, _as_alpha(alpha), grid, K)
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
-        return fiber.combine(fiber.profile(0, lambda w: poisson_kernel(z1, w)),
-                             fiber.profile(1, lambda w: poisson_kernel(z2, w)))
+        return fiber.combine(fiber.poisson_profile(0, z1), fiber.poisson_profile(1, z2))
 
     return integrate
 
@@ -620,9 +620,10 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     there.  Each coefficient is instead integrated by the product path,
     whose substitution flattens the fiber oscillation; the integrator's
     reported bound is the tolerance term.  The fiber geometry is built once
-    per call, and the profile of each monomial w^{-m} of each factor once
-    per exponent, so every entry (k1, k2) is one outer sum over the
-    profiles of z_1^{-k1} and z_2^{-k2}.
+    per call, and the profiles of the monomials w^{-m}, |m| <= kmax, of each
+    factor once (on a singular fiber in one pass of running powers), so
+    every entry (k1, k2) is one outer sum over the profiles of z_1^{-k1} and
+    z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -630,8 +631,7 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     fiber = _product_fiber(P, alpha, grid, K)
     exponents = [m for m in range(-kmax, kmax + 1) if m]
-    profiles = [{m: fiber.profile(axis, lambda w, m=m: w ** (-m)) for m in exponents}
-                for axis in (0, 1)]
+    profiles = [fiber.moment_profiles(axis, kmax) for axis in (0, 1)]
     entries = []
     for k1 in exponents:
         for k2 in exponents:

@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from clark_measures.clark1d import (
     DegenerateDerivativeError,
@@ -41,21 +43,48 @@ EXP_ATOM = InnerFunction1D(singular_atoms=((TorusPoint(0.0), 1.0),))
 
 
 def level_roots_oracle(phi, alpha):
-    """Solve phi* = alpha as a polynomial root problem (independent path)."""
-    p1 = np.array([phi.unimodular_factor.alpha])
-    for a in phi.blaschke_zeros:
-        p1 = np.polymul(p1, np.array([-1.0, a.value]))
-    p1 = np.concatenate([p1, np.zeros(phi.monomial_power, dtype=complex)])
-    p2 = np.array([alpha.alpha])
-    for a in phi.blaschke_zeros:
-        p2 = np.polymul(p2, np.array([-a.value.conjugate(), 1.0]))
-    n = max(len(p1), len(p2))
-    diff = np.zeros(n, dtype=complex)
-    diff[n - len(p1):] += p1
-    diff[n - len(p2):] -= p2
-    roots = np.roots(diff)
-    roots = roots[np.abs(np.abs(roots) - 1.0) < 1e-6]
-    return np.sort(np.mod(np.angle(roots), TWO_PI))
+    """Solve phi* = alpha as a polynomial root problem (independent path).
+
+    The coefficients and roots are formed in 60-digit arithmetic from the
+    same float inputs: near a double root (a zero close to the circle) the
+    roots of the float64 polynomial move by up to about sqrt(eps), far more
+    than the atoms' 1e-9 tolerance.
+    """
+    with mpmath.workdps(60):
+        p1 = [mpmath.mpc(phi.unimodular_factor.alpha)]
+        p2 = [mpmath.mpc(alpha.alpha)]
+        for a in phi.blaschke_zeros:
+            p1 = poly_mul(p1, [-1, mpmath.mpc(a.value)])
+            p2 = poly_mul(p2, [-mpmath.mpc(a.value.conjugate()), 1])
+        p1 = p1 + [0] * phi.monomial_power
+        p2 = [0] * (len(p1) - len(p2)) + p2
+        roots = mpmath.polyroots([u - v for u, v in zip(p1, p2)], maxsteps=500, extraprec=500)
+        angles = [float(mpmath.arg(r)) % TWO_PI for r in roots if abs(abs(r) - 1) < 1e-6]
+    return np.sort(angles)
+
+
+def poly_mul(a, b):
+    """Product of two coefficient lists, highest degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+class Draws:
+    """Stands in for st.data() in an explicit example: draw() replays values,
+    from the start again once a run has drawn them all."""
+
+    def __init__(self, *values):
+        self.values = values
+        self.replay = itertools.cycle(values)
+
+    def draw(self, strategy, label=None):
+        return next(self.replay)
+
+    def __repr__(self):
+        return f"Draws{self.values!r}"
 
 
 def herglotz_rhs_origin(phi, alpha):
@@ -134,6 +163,10 @@ class TestClarkBlaschke:
         degree=st.integers(min_value=1, max_value=6),
         exponent=st.floats(min_value=1.0, max_value=15.0),
     )
+    # a near double root: e^{i nu} z^4 (a - z)/(1 - conj(a) z), a = (1 - 1e-14) e^{i nu},
+    # at alpha = e^{i nu}; the draws are m, the angle of a, nu and alpha's angle
+    @example(data=Draws(4, 5.960464477539063e-08, 5.960464477539063e-08, 5.960464477539063e-08),
+             degree=5, exponent=14.0)
     def test_zeros_near_the_circle(self, data, degree, exponent):
         # one zero at distance 10^-exponent from the circle: either every
         # atom is right, or the call says it cannot resolve them

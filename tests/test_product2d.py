@@ -1,6 +1,7 @@
 """Tests for Clark measures of product inner functions on the bidisc."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from clark_measures.product2d import (
     ProductInner,
     SkipNode,
     _blaschke_pair_roots,
+    _LorentzFiber,
+    _product_fiber,
+    _wrapped_lorentz,
     blaschke_exp_branches,
     branch_curves,
     expexp_branches,
@@ -31,6 +35,7 @@ from clark_measures.product2d import (
     product_clark_integrate,
     product_map,
 )
+from clark_measures.torus_core import poisson_kernel
 
 EXP = InnerFunction1D(singular_atoms=((0.0, 1.0),))
 LAM = 0.5j
@@ -411,6 +416,123 @@ class TestProductIntegrate:
             zeroed = product_clark_integrate(P, alpha, integrand(0.0), GRID, K=50)
             assert np.isfinite(res.error_bound)
             assert res.value == pytest.approx(zeroed.value * n / (n - 1), rel=1e-14)
+
+
+EPS = np.finfo(float).eps
+lorentz_fibers = st.builds(
+    lambda c, xi_angle, seed: _LorentzFiber(
+        np.random.default_rng(seed).uniform(-2 * math.pi, 2 * math.pi, 32),
+        c, complex(np.exp(1j * xi_angle)), 40,
+    ),
+    c=st.floats(min_value=0.05, max_value=5.0),
+    xi_angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def held_arrays(obj, seen=None):
+    """Every numpy array reachable from obj's attributes, closures and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        return
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif hasattr(obj, "__dict__"):
+        children = list(vars(obj).values())
+        children += [cell.cell_contents for cell in getattr(obj, "__closure__", None) or ()]
+    else:
+        return
+    for child in children:
+        yield from held_arrays(child, seen)
+
+
+class TestLorentzFiber:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        fiber=lorentz_fibers,
+        radius=st.floats(min_value=0.0, max_value=0.99),
+        angle=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_poisson_sums_match_the_kernel_sums(self, fiber, radius, angle):
+        # both paths see each atom to a few eps, and the kernel's relative
+        # slope along the circle is up to 2/(1 - |z|): that term bounds the
+        # difference near the circle, where the oracle itself is off by
+        # more than 1e-14
+        z = radius * complex(np.exp(1j * angle))
+        rel = 1e-14 + 64 * EPS / (1.0 - radius)
+        closed = fiber.poisson_sums(z)
+        kernel = fiber.sums(lambda w: poisson_kernel(z, w))
+        for got, want in zip(closed, kernel):
+            assert np.all(np.abs(got - want) <= rel * want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(fiber=lorentz_fibers)
+    def test_moment_sums_match_the_power_sums(self, fiber):
+        moments = fiber.moment_sums(8)
+        assert sorted(moments) == [m for m in range(-8, 9) if m]
+        # |w^-m| = 1, so each sum is at most the fiber mass, and each term of
+        # either path is within a few (|m| + 2) eps of its weight
+        mass = _wrapped_lorentz(fiber.c, fiber.base)
+        for m, sums in moments.items():
+            for got, want in zip(sums, fiber.sums(lambda w: w ** (-m))):
+                assert np.all(np.abs(got - want) <= 8 * (abs(m) + 2) * EPS * mass)
+
+    def test_no_array_spans_the_window(self):
+        K = 60
+        psi = InnerFunction1D(monomial_power=2, blaschke_zeros=(0.3 - 0.2j,))
+        alpha = UnimodularConstant.from_nu(0.7)
+        for P in (ProductInner(EXP, EXP), ProductInner(BPAIR, EXP), ProductInner(EXP, BPAIR),
+                  ProductInner(BPAIR, psi)):
+            fiber = _product_fiber(P, alpha, GRID, K)
+            for axis in (0, 1):  # builds whatever a fiber makes on first use
+                fiber.poisson_profile(axis, 0.3j)
+                fiber.moment_profiles(axis, 2)
+            arrays = list(held_arrays(fiber))
+            assert arrays
+            assert all(a.ndim < 2 or a.shape[0] != 2 * K + 1 for a in arrays)
+
+    def test_closed_form_passes_allocate_no_chunk(self):
+        # everything chunk-sized lives in the fiber's buffers; a call makes
+        # only per-level vectors
+        fiber = _LorentzFiber(np.linspace(0.0, 2 * math.pi, 4096, endpoint=False), 1.0, 1j, 1000)
+        for call in (lambda: fiber.poisson_sums(0.3 + 0.1j), lambda: fiber.moment_sums(1)):
+            call()
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < fiber._y.nbytes
+
+    def test_generic_paths_keep_their_bits(self):
+        # float hex of product_clark_integrate before the closed-form passes:
+        # the generic split and general paths are not forked
+        z1, z2 = 0.3 + 0.2j, -0.4 + 0.5j
+        expected = {
+            "ee": ("0x1.bf2020f1b44d4p-1", "0x0.0p+0", "0x1.59915454aaaabp-22",
+                   "-0x1.2badb39a1b896p-2", "0x1.eace0f34b7565p-8", "0x1.8e23d3adabb71p-22"),
+            "be": ("0x1.e885740879cdep-1", "0x0.0p+0", "0x1.5fef5bf999aabp-27",
+                   "-0x1.77577af7d0fecp-3", "-0x1.616d41d5cd7fcp-3", "0x1.b6f8e164b6b16p-26"),
+            "eb": ("0x1.0f0afbcf92e2ep+0", "0x0.0p+0", "0x1.d186ff8d93b55p-24",
+                   "0x1.126b35819cea3p-4", "-0x1.79b3ed2c525f2p-2", "0x1.8a7a371be87d3p-23"),
+        }
+        f1, f2 = poisson_split(z1, z2)
+        alpha = UnimodularConstant.from_nu(0.7)
+        for key, P in (("ee", ProductInner(EXP, EXP)), ("be", ProductInner(BPAIR, EXP)),
+                       ("eb", ProductInner(EXP, BPAIR))):
+            split = product_clark_integrate(P, alpha, None, GRID, K=60, f_split=(f1, f2))
+            general = product_clark_integrate(
+                P, alpha, lambda w1, w2: f1(w1) * f2(w2) * w1 / w2, GRID, K=60)
+            got = tuple(x.hex() for r in (split, general)
+                        for x in (r.value.real, r.value.imag, r.error_bound))
+            assert got == expected[key]
 
 
 class TestBranchCurves:
