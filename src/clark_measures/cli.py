@@ -21,6 +21,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -126,6 +127,11 @@ class CommandSpec:
             raise SchemaError("embedding dimension d must be an integer >= 2")
         object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
         object.__setattr__(self, "z", tuple(self.z))
+        alphas = self.alpha_list + (() if self.alpha is None else (self.alpha,))
+        if not all(math.isfinite(a) for a in alphas):
+            raise SchemaError("alpha angles must be finite")
+        if not all(cmath.isfinite(c) for c in self.z):
+            raise SchemaError("--z coordinates must be finite")
 
 
 # ---------------------------------------------------------------------------

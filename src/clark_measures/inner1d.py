@@ -129,13 +129,6 @@ class InnerFunction1D:
     def is_blaschke_type(self) -> bool:
         return not self.has_singular_part
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0 and not self.has_singular_part
-
-    def atom_angles(self) -> np.ndarray:
-        return np.array([xi.theta for xi, _ in self.singular_atoms], dtype=float)
-
     def to_json_dict(self) -> dict:
         return {
             "unimodular": self.unimodular_factor.nu,

@@ -21,7 +21,6 @@ from .torus_core import (
     CurveComponent,
     Graph,
     LineComponent,
-    QuadratureGrid,
     TorusPoint,
     UnimodularConstant,
     circle_distance,
@@ -504,11 +503,7 @@ def _line_constant(R: RIF_n1, tau: TorusPoint, sing) -> float:
     return 1.0 / slope
 
 
-def rif_clark_measure(
-    R: RIF_n1,
-    alpha: UnimodularConstant,
-    grid: QuadratureGrid = None,
-) -> ClarkMeasure2D:
+def rif_clark_measure(R: RIF_n1, alpha: UnimodularConstant) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
     (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated."""
     limits = _singular_limits(R)

@@ -19,10 +19,6 @@ TWO_PI = 2.0 * math.pi
 # Canonical point-equality tolerance on the circle, in radians.
 ANGLE_TOL = 1e-12
 
-# Chunk size (rows) for batched antidiagonal evaluation; fixed so that
-# results never depend on available memory.
-_CHUNK_ROWS = 1024
-
 
 class TorusCoreError(Exception):
     """Base class for errors raised by this package."""
@@ -38,8 +34,11 @@ class QuadratureError(TorusCoreError):
 
 
 def canonical_angle(theta: float) -> float:
-    """Reduce an angle into [0, 2pi)."""
-    t = math.fmod(float(theta), TWO_PI)
+    """Reduce an angle into [0, 2pi); a NaN or infinite angle raises ValueError."""
+    t = float(theta)
+    if not math.isfinite(t):
+        raise ValueError(f"angle must be finite, got {t}")
+    t = math.fmod(t, TWO_PI)
     if t < 0.0:
         t += TWO_PI
     if t >= TWO_PI:  # fmod rounding can land exactly on 2pi
@@ -138,9 +137,6 @@ class QuadratureGrid:
 
     def points(self) -> np.ndarray:
         return np.exp(1j * self.thetas())
-
-    def halved(self) -> "QuadratureGrid":
-        return QuadratureGrid(max(2, self.n_nodes // 2))
 
 
 @dataclass(frozen=True)
@@ -342,9 +338,10 @@ class CurveComponent:
         with np.errstate(all="ignore"):
             return np.asarray(self.kind.g(zeta), dtype=complex)
 
-    def weight_values(self, zeta: np.ndarray) -> np.ndarray:
+    def weight_values(self, zeta: np.ndarray):
+        """The weight at zeta; a constant weight is the scalar itself."""
         if isinstance(self.kind, Antidiagonal):
-            return np.full(np.shape(zeta), self.weight, dtype=float)
+            return self.weight
         with np.errstate(all="ignore"):
             return np.asarray(self.weight(zeta), dtype=float)
 
@@ -377,83 +374,70 @@ class ClarkMeasure2D:
 
     @cached_property
     def _antidiagonal_block(self) -> tuple:
-        """(etas, weights, graph_items): antidiagonals batched as read-only
-        arrays and the (index, component) pairs of the other curves, built
-        once per immutable measure since the split evaluates each eta."""
-        etas, weights, graph_items = [], [], []
-        for idx, comp in enumerate(self.curves):
+        """(etas, weights, other_curves): antidiagonals batched as read-only
+        arrays and the remaining curves, built once per immutable measure
+        since the split evaluates each eta."""
+        etas, weights, others = [], [], []
+        for comp in self.curves:
             if isinstance(comp.kind, Antidiagonal):
                 etas.append(comp.kind.eta.value)
                 weights.append(comp.weight)
             else:
-                graph_items.append((idx, comp))
+                others.append(comp)
         etas = np.array(etas, dtype=complex)
         weights = np.array(weights, dtype=float)
         etas.flags.writeable = False
         weights.flags.writeable = False
-        return etas, weights, tuple(graph_items)
+        return etas, weights, tuple(others)
 
 
-def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> IntegralResult:
-    """Integrate f over a 2D measure: sum of curve and line quadratures.
+def _component_nodes(curves, lines, zeta: np.ndarray):
+    """(index, z1, z2, weight) per curve, then per line, sampled at zeta.
 
-    `f(z1, z2)` must accept equal-shaped complex arrays. The reported bound
-    is the grid-halving estimate summed over components plus
+    A curve's nodes are (zeta, second coordinate) and a line's are
+    (tau, zeta).  weight is an array for a graph and a scalar for a
+    constant-weight curve or a line; lines are indexed after the curves.
+    """
+    for idx, comp in enumerate(curves):
+        yield idx, zeta, comp.second_coordinate(zeta), comp.weight_values(zeta)
+    for j, line in enumerate(lines):
+        yield (len(curves) + j, np.full(len(zeta), line.tau.value, dtype=complex),
+               zeta, line.constant)
+
+
+def _integrate_nodes(nodes, f, tail_bound: float) -> IntegralResult:
+    """Sum over components of the node mean of f * weight.
+
+    A scalar weight scales the component's mean, an array weight each node.
+    The bound is the grid-halving estimate summed over components plus
     tail_bound * (sup of |f| over all evaluated nodes).
     """
-    n = grid.n_nodes
-    zeta = grid.points()
-    allowed = max_undefined_nodes(n)
-    etas, weights, graph_items = mu._antidiagonal_block
-
-    component_values = []
-    component_estimates = []
+    values, estimates = [], []
     sup_f = 0.0
-
-    # Antidiagonals share the rank-1 structure z2 = eta conj(zeta); evaluate in
-    # fixed-size chunks so memory stays bounded and results stay deterministic.
-    conj_zeta = np.conj(zeta)
-    for start in range(0, len(etas), _CHUNK_ROWS):
-        eta_blk = etas[start:start + _CHUNK_ROWS, None]
-        w_blk = weights[start:start + _CHUNK_ROWS]
-        z2 = eta_blk * conj_zeta[None, :]
-        z1 = np.broadcast_to(zeta[None, :], z2.shape)
+    for idx, z1, z2, weight in nodes:
         with np.errstate(all="ignore"):
             fv = np.asarray(f(z1, z2), dtype=complex)
         finite = np.isfinite(fv)
         if finite.any():
             sup_f = max(sup_f, float(np.max(np.abs(np.where(finite, fv, 0.0)))))
-        means, ests, _ = _node_mean_with_estimate(fv, allowed, component_index=start)
-        component_values.extend((w_blk * means).tolist())
-        component_estimates.extend((w_blk * ests).tolist())
+        if np.ndim(weight):
+            fv, weight = fv * weight, 1.0
+        mean, est, _ = _node_mean_with_estimate(fv, max_undefined_nodes(len(fv)),
+                                                component_index=idx)
+        values.append(weight * complex(mean))
+        estimates.append(weight * float(est))
+    total = complex(pairwise_sum(np.array(values, dtype=complex))) if values else 0j
+    quad_est = float(pairwise_sum(np.array(estimates, dtype=float))) if estimates else 0.0
+    return IntegralResult(value=total, error_bound=quad_est + tail_bound * sup_f)
 
-    for idx, comp in graph_items:
-        z2 = comp.second_coordinate(zeta)
-        wv = comp.weight_values(zeta)
-        with np.errstate(all="ignore"):
-            fv = np.asarray(f(zeta, z2), dtype=complex)
-        finite = np.isfinite(fv)
-        if finite.any():
-            sup_f = max(sup_f, float(np.max(np.abs(np.where(finite, fv, 0.0)))))
-        vals = fv * wv
-        mean, est, _ = _node_mean_with_estimate(vals, allowed, component_index=idx)
-        component_values.append(complex(mean))
-        component_estimates.append(float(est))
 
-    for j, line in enumerate(mu.lines):
-        z1 = np.full(n, line.tau.value, dtype=complex)
-        with np.errstate(all="ignore"):
-            fv = np.asarray(f(z1, zeta), dtype=complex)
-        finite = np.isfinite(fv)
-        if finite.any():
-            sup_f = max(sup_f, float(np.max(np.abs(np.where(finite, fv, 0.0)))))
-        mean, est, _ = _node_mean_with_estimate(
-            fv, allowed, component_index=len(mu.curves) + j)
-        component_values.append(line.constant * complex(mean))
-        component_estimates.append(line.constant * float(est))
+def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> IntegralResult:
+    """Integrate f over a 2D measure: one node loop over curves and lines.
 
-    total = complex(pairwise_sum(np.array(component_values, dtype=complex))) \
-        if component_values else 0.0 + 0.0j
-    quad_est = float(pairwise_sum(np.array(component_estimates, dtype=float))) \
-        if component_estimates else 0.0
-    return IntegralResult(value=total, error_bound=quad_est + mu.tail_bound * sup_f)
+    `f(z1, z2)` must accept equal-shaped complex arrays.  Each component is
+    sampled on grid as it is reached, so one component's nodes are held at
+    a time.  The reported bound is the grid-halving estimate summed over
+    components plus tail_bound * (sup of |f| over all evaluated nodes).
+    """
+    return _integrate_nodes(_component_nodes(mu.curves, mu.lines, grid.points()),
+                            f, mu.tail_bound)

@@ -10,10 +10,10 @@ The Poisson integrals are evaluated independently of the construction paths.
 Embedded measures, in any dimension, live on the subtori
 {zeta_1 ... zeta_d = eta} and are integrated in closed form by the Poisson
 kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
-exactly P_{z1 ... zd}(eta).  Graph and line components run plain
-quadrature.  The generic quadrature integrators (integrate_measure2d,
-integrate_embed_nd) are the independent oracle the tests pin the closed form
-against.
+exactly P_{z1 ... zd}(eta).  Graph and line components run the one node
+loop of integrate_measure2d over nodes sampled once per integrator.  The
+generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
+are the independent oracle the tests pin the closed form against.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ from .torus_core import (
     QuadratureGrid,
     TorusPoint,
     UnimodularConstant,
-    integrate_measure2d,
+    _component_nodes,
+    _integrate_nodes,
     max_undefined_nodes,
     pairwise_sum,
     poisson_kernel,
@@ -336,34 +337,33 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     """z -> Poisson integral of mu with an error bound.
 
     Antidiagonal components are integrated in closed form by the kernel
-    semigroup at w = z1 z2 (see _antidiagonal_poisson); graph and line
-    components by the generic quadrature on grid.  The tail term is
+    semigroup at w = z1 z2 (see _antidiagonal_poisson).  Graph and line
+    components run one node loop, the generic quadrature of
+    integrate_measure2d, over nodes and weights sampled on grid once here,
+    so a point costs one kernel pass per coordinate.  The tail term is
     tail_bound times the sup of the integrand over the omitted mass:
     sup P_{z1 z2} when mu holds only antidiagonals, sup P_{z1} sup P_{z2}
     otherwise.  A point off the open bidisc raises ValueError.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    etas, weights, graph_items = mu._antidiagonal_block
+    etas, weights, graphs = mu._antidiagonal_block
     antidiagonal = _antidiagonal_poisson(etas, weights)
-    remainder = None
-    if graph_items or mu.lines:
-        remainder = ClarkMeasure2D(curves=tuple(comp for _, comp in graph_items),
-                                   lines=mu.lines, tail_bound=0.0)
+    nodes = tuple(_component_nodes(graphs, mu.lines, grid.points()))
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
         value = antidiagonal(z1 * z2) if len(etas) else 0.0
         error = 0.0
         if mu.tail_bound:
-            if remainder is None:
+            if not nodes:
                 error += mu.tail_bound * _poisson_sup(z1 * z2)
             else:
                 error += mu.tail_bound * _poisson_sup(z1) * _poisson_sup(z2)
-        if remainder is not None:
+        if nodes:
             def f(w1, w2):
                 return poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
 
-            res = integrate_measure2d(remainder, f, grid)
+            res = _integrate_nodes(nodes, f, 0.0)
             value += float(np.real(res.value))
             error += res.error_bound
         return IntegralResult(value, error)
@@ -554,11 +554,9 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
     zeta = grid.points()
     allowed = max_undefined_nodes(n)
 
-    etas, weights, graph_items = mu._antidiagonal_block
+    etas, weights, graphs = mu._antidiagonal_block
     graph_data = []
-    for _, comp in graph_items:
-        g = comp.second_coordinate(zeta)
-        w = comp.weight_values(zeta)
+    for _, _, g, w in _component_nodes(graphs, (), zeta):
         mask = np.isfinite(g) & np.isfinite(w)
         if n - int(mask.sum()) > allowed:
             raise ValueError("graph component undefined on too many nodes")

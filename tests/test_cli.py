@@ -89,6 +89,16 @@ class TestCommandSpec:
         spec = CommandSpec("measure1d", "f.json", "inner", alpha=0.5, N=256, K=1)
         assert spec.N == 256 and spec.K == 1
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles_and_points(self, bad):
+        with pytest.raises(SchemaError, match="finite"):
+            CommandSpec("rif", "f.json", "rif", alpha=bad)
+        with pytest.raises(SchemaError, match="finite"):
+            CommandSpec("plot", "f.json", "rif", alpha_list=(0.0, bad))
+        for z in ((complex(bad, 0.0),), (0.1j, complex(0.0, bad))):
+            with pytest.raises(SchemaError, match="finite"):
+                CommandSpec("eval", "f.json", "rif", z=z)
+
 
 class TestParsing:
     def test_no_subcommand_is_schema_error(self, capsys):
@@ -127,6 +137,21 @@ class TestParsing:
     def test_plot_requires_alpha(self, capsys, specs):
         code, _, _ = run_cli(capsys, "plot", "--rif", specs["example36"])
         assert code == 1
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--embed", "exp", "--alpha", "inf"),
+        ("verify", "--embed", "exp", "--alpha", "nan"),
+        ("embed", "--input", "exp", "--alpha", "inf"),
+        ("plot", "--rif", "example36", "--alpha-list", "0,nan"),
+        ("eval", "--input", "exp", "--z", "[NaN, 0]"),
+        ("eval", "--rif", "example36", "--z", "[[0.1, 0], [0, Infinity]]"),
+    ], ids=["verify-inf", "verify-nan", "embed-inf", "plot-nan", "eval-nan", "eval-inf"])
+    def test_non_finite_input_is_schema_error(self, capsys, specs, args):
+        args = [specs.get(a, a) for a in args]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1 and out == ""
+        env = error_envelope(err)
+        assert env["kind"] == "schema" and "finite" in env["message"]
 
 
 class TestEval:

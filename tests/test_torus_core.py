@@ -61,6 +61,15 @@ class TestPoints:
         with pytest.raises(ValueError):
             UnimodularConstant.from_complex(0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            canonical_angle(bad)
+        with pytest.raises(ValueError, match="finite"):
+            TorusPoint(bad)
+        with pytest.raises(ValueError, match="finite"):
+            UnimodularConstant.from_nu(bad)
+
 
 class TestPoissonKernel:
     def test_at_origin_is_one(self):

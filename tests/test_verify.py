@@ -158,6 +158,35 @@ class TestIntegrators:
                 expected = float(pairwise_sum(weights * poisson_kernel(z1 * z2, etas)))
                 assert integrate((z1, z2)).value == expected
 
+    def test_cached_nodes_match_generic_quadrature(self):
+        # measure_integrator samples graph and line nodes once; every point
+        # must still give the bits of integrate_measure2d on the same measure
+        points = [(0j, 0j), *sample_test_points(2, 8)]
+
+        def kernels(z1, z2):
+            return lambda w1, w2: poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
+
+        def run(mu, grid, compare_bounds):
+            integrate = measure_integrator(mu, grid)
+            forwards = [integrate(z) for z in points]
+            backwards = [integrate(z) for z in reversed(points)][::-1]
+            fresh = [measure_integrator(mu, grid)(z) for z in points]
+            for z, *results in zip(points, forwards, backwards, fresh):
+                generic = integrate_measure2d(mu, kernels(*z), grid)
+                for res in results:
+                    assert res.value == generic.value.real
+                    if compare_bounds:
+                        assert res.error_bound == generic.error_bound
+
+        for nu in (0.0, math.pi):  # pi is exceptional: the measure has a line
+            mu = rif_clark_measure(example_rif(), UnimodularConstant.from_nu(nu))
+            assert len(mu.lines) == (1 if nu else 0)
+            run(mu, GRID, compare_bounds=True)
+        # the branch measure's tail term differs by design; values still agree
+        mu = product_branch_measure(ProductInner(EXP, EXP), UnimodularConstant.one(), K=8)
+        assert mu.tail_bound > 0
+        run(mu, GRID, compare_bounds=False)
+
     def test_nd_fast_path_matches_nested(self):
         alpha = UnimodularConstant.from_nu(0.7)
         em = embed_clark_nd(EXP, alpha, 3, K=25)
