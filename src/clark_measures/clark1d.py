@@ -30,7 +30,6 @@ from .torus_core import (
     DiscreteMeasure1D,
     TorusPoint,
     UnimodularConstant,
-    canonical_angle,
 )
 
 __all__ = [
@@ -153,11 +152,9 @@ def clark_atomic_singular(
     s = alpha.nu + TWO_PI * k
     eta = xi.value * (s - 1j * c) / (s + 1j * c)
     weights = 2.0 * c / (c * c + s * s)
-    atoms = tuple(
-        (TorusPoint(float(np.angle(e))), float(w)) for e, w in sorted(
-            zip(eta, weights), key=lambda ew: canonical_angle(float(np.angle(ew[0])))
-        )
-    )
+    points = [TorusPoint(a) for a in np.angle(eta).tolist()]
+    order = np.argsort([p.theta for p in points], kind="stable")
+    atoms = tuple(zip([points[j] for j in order.tolist()], weights[order].tolist()))
     return DiscreteMeasure1D(
         atoms=atoms,
         tail_bound=_singular_tail_bound(c, K),

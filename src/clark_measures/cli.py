@@ -13,7 +13,9 @@ Conventions: angles are radians everywhere, complex numbers are [re, im]
 pairs in JSON, CSV carries component_id,theta1,theta2,weight at 17
 significant digits, and the SVG is a plain polyline rendering on the
 square [0, 2pi)^2 with weight encoded as stroke opacity and one color
-class per alpha.  Exit codes: 0 ok, 1 schema error, 2 computation error,
+class per alpha.  Each curve component is sampled once into float columns
+(theta1, theta2, weight), and the CSV, SVG and JSON are all formatted from
+those columns.  Exit codes: 0 ok, 1 schema error, 2 computation error,
 3 verification failure; failures put a machine-readable JSON envelope on
 stderr.
 """
@@ -188,10 +190,6 @@ def _compute(thunk):
 # emission
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -209,7 +207,8 @@ def _emit_error(kind: str, code: int, message) -> None:
 
 
 def _measure_components(mu: ClarkMeasure2D, n: int, prefix: str = ""):
-    """Sampled curve data: (component_id, [(theta1, theta2, weight), ...]).
+    """Sampled curve data: (component_id, theta1, theta2, weight), one float
+    array per column.
 
     Graph nodes where the rule is undefined are dropped; antidiagonal
     second coordinates are computed in angle arithmetic so the emitted
@@ -222,67 +221,43 @@ def _measure_components(mu: ClarkMeasure2D, n: int, prefix: str = ""):
         cid = f"{prefix}curve{i}"
         if isinstance(comp.kind, Antidiagonal):
             t2 = np.mod(comp.kind.eta.theta - thetas, TWO_PI)
-            pts = [(float(a), float(b), float(comp.weight)) for a, b in zip(thetas, t2)]
+            out.append((cid, thetas, t2, np.full(n, comp.weight)))
         else:
             z2 = comp.second_coordinate(zeta)
             w = comp.weight_values(zeta)
             ok = np.isfinite(z2) & np.isfinite(w)
-            t2 = np.mod(np.angle(np.where(ok, z2, 1.0)), TWO_PI)
-            pts = [(float(thetas[j]), float(t2[j]), float(w[j]))
-                   for j in np.flatnonzero(ok)]
-        out.append((cid, pts))
+            out.append((cid, thetas[ok], np.mod(np.angle(z2[ok]), TWO_PI), w[ok]))
     for i, line in enumerate(mu.lines):
-        cid = f"{prefix}line{i}"
-        t1 = float(np.mod(line.tau.theta, TWO_PI))
-        out.append((cid, [(t1, float(t), float(line.constant)) for t in thetas]))
+        t1 = np.full(n, np.mod(line.tau.theta, TWO_PI))
+        out.append((f"{prefix}line{i}", t1, thetas, np.full(n, float(line.constant))))
     return out
 
 
 def _csv_text(components) -> str:
     rows = ["component_id,theta1,theta2,weight"]
-    for cid, pts in components:
-        for t1, t2, w in pts:
-            rows.append(f"{cid},{_g17(t1)},{_g17(t2)},{_g17(w)}")
+    for cid, *columns in components:
+        text = ([format(v, ".17g") for v in column.tolist()] for column in columns)
+        rows.extend(f"{cid},{t1},{t2},{w}" for t1, t2, w in zip(*text))
     return "\n".join(rows) + "\n"
 
 
-def _opacity(w: float) -> str:
-    return format(min(1.0, max(0.0, w)), ".3f")
+def _svg_runs(t1, t2, opacity):
+    """Polyline runs (opacity, start, stop) of one component's samples.
 
-
-def _opacity_runs(pts):
-    """Consecutive points merged while their quantized opacity agrees.
-
-    Run boundaries repeat the joint point so the rendered curve stays
-    connected.
+    A run ends where either angle wraps, and within a wrap-free stretch
+    where the quantized opacity changes; such a run repeats the joint
+    sample so the rendered curve stays connected.  Single-sample runs are
+    dropped.
     """
-    runs = []
-    cur = [pts[0]]
-    cur_op = _opacity(pts[0][2])
-    for p in pts[1:]:
-        op = _opacity(p[2])
-        if op != cur_op:
-            cur.append(p)
-            if len(cur) >= 2:
-                runs.append((cur_op, cur))
-            cur, cur_op = [p], op
-        else:
-            cur.append(p)
-    if len(cur) >= 2:
-        runs.append((cur_op, cur))
-    return runs
-
-
-def _svg_runs(pts):
-    """Polyline runs of one component: split at angular wraps, then by opacity."""
-    runs, cur = [], []
-    for p in pts:
-        if cur and (abs(p[0] - cur[-1][0]) > math.pi or abs(p[1] - cur[-1][1]) > math.pi):
-            runs.extend(_opacity_runs(cur))
-            cur = []
-        cur.append(p)
-    if cur:
-        runs.extend(_opacity_runs(cur))
+    wraps = np.flatnonzero((np.abs(np.diff(t1)) > math.pi) | (np.abs(np.diff(t2)) > math.pi)) + 1
+    steps = np.flatnonzero(opacity[1:] != opacity[:-1]) + 1
+    ends = set(wraps.tolist()) | {len(t1)}
+    runs, start = [], 0
+    for cut in np.union1d(wraps, steps).tolist() + [len(t1)]:
+        stop = cut if cut in ends else cut + 1
+        if stop - start >= 2:
+            runs.append((opacity[start], start, stop))
+        start = cut
     return runs
 
 
@@ -298,15 +273,15 @@ def _svg_text(groups) -> str:
     ]
     for css, color, components in groups:
         out.append(f'<g class="{css}" fill="none" stroke="{color}" stroke-width="1.2">')
-        for cid, pts in components:
-            for op, run in _svg_runs(pts):
-                coords = " ".join(
-                    f"{t1 * _SVG_SCALE:.2f},{(TWO_PI - t2) * _SVG_SCALE:.2f}"
-                    for t1, t2, _ in run
-                )
+        for cid, t1, t2, w in components:
+            vertices = [f"{x:.2f},{y:.2f}" for x, y in
+                        zip((t1 * _SVG_SCALE).tolist(), ((TWO_PI - t2) * _SVG_SCALE).tolist())]
+            # + 0.0 turns a clipped -0.0 into 0.0
+            opacity = np.array([format(v, ".3f") for v in (np.clip(w, 0.0, 1.0) + 0.0).tolist()])
+            for op, start, stop in _svg_runs(t1, t2, opacity):
                 out.append(
                     f'<polyline data-component="{cid}" stroke-opacity="{op}" '
-                    f'points="{coords}"/>'
+                    f'points="{" ".join(vertices[start:stop])}"/>'
                 )
         out.append("</g>")
     out.append("</svg>")
@@ -322,8 +297,8 @@ def _emit_measure(mu: ClarkMeasure2D, spec: CommandSpec, extra: dict = None) -> 
     else:
         payload = {
             "components": [
-                {"component_id": cid, "points": [[t1, t2, w] for t1, t2, w in pts]}
-                for cid, pts in components
+                {"component_id": cid, "points": np.stack(columns, axis=1).tolist()}
+                for cid, *columns in components
             ],
             "tail_bound": mu.tail_bound,
         }

@@ -107,8 +107,8 @@ class InnerFunction1D:
             if not isinstance(xi, TorusPoint):
                 xi = TorusPoint(xi)
             mass = float(mass)
-            if not mass > 0:
-                raise ValueError("singular atom masses must be positive")
+            if not (mass > 0 and math.isfinite(mass)):
+                raise ValueError("singular atom masses must be finite and positive")
             atoms.append((xi, mass))
         for i in range(len(atoms)):
             for j in range(i + 1, len(atoms)):

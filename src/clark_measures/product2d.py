@@ -45,6 +45,7 @@ import numpy as np
 from .clark1d import (
     DEFAULT_TRUNCATION,
     UnsupportedFunctionError,
+    _singular_tail_bound,
     clark_measure1d,
 )
 from .inner1d import (
@@ -338,7 +339,7 @@ def product_branch_measure(
         K = family.index_range[1]
         if K < 2:
             raise ValueError("Z-indexed branch family needs K >= 2")
-        tail = (1.0 / math.pi**2) * (1.0 / K + 1.0 / (K - 1))
+        tail = _singular_tail_bound(2.0, K)
     return ClarkMeasure2D(curves=curves, tail_bound=tail)
 
 

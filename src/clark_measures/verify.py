@@ -14,12 +14,17 @@ exactly P_{z1 ... zd}(eta).  Graph and line components run the one node
 loop of integrate_measure2d over nodes sampled once per integrator.  The
 generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
 are the independent oracle the tests pin the closed form against.
+
+A VerificationReport holds four kinds of section, each a frozen dataclass.
+Its JSON form is written from the dataclass fields (complex values as
+[re, im] pairs, tuples as lists) and read back through one decoder per
+field name (_FIELD_VALUES; a field not listed there is a float).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -115,10 +120,6 @@ def sample_test_points(d: int, count: int = 100, seed: int = DEFAULT_SEED,
 # report sections
 
 
-def _pair(c: complex):
-    return [float(np.real(c)), float(np.imag(c))]
-
-
 @dataclass(frozen=True)
 class IdentityResidual:
     """One test point of the Poisson identity."""
@@ -194,37 +195,10 @@ class VerificationReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "identity_residuals": [
-                {
-                    "z": [_pair(c) for c in r.z],
-                    "lhs": r.lhs,
-                    "rhs": r.rhs,
-                    "relative_error": r.relative_error,
-                    "tolerance": r.tolerance,
-                }
-                for r in self.identity_residuals
-            ],
-            "mass": None
-            if self.mass is None
-            else {
-                "computed": self.mass.computed,
-                "expected": self.mass.expected,
-                "error": self.mass.error,
-                "tolerance": self.mass.tolerance,
-            },
-            "fourier": [
-                {"k": [int(v) for v in e.k], "modulus": e.modulus, "tolerance": e.tolerance}
-                for e in self.fourier
-            ],
-            "support": [
-                {
-                    "point": [_pair(c) for c in s.point],
-                    "deviation": s.deviation,
-                    "exempt": s.exempt,
-                    "tolerance": s.tolerance,
-                }
-                for s in self.support
-            ],
+            "identity_residuals": [_section_json(r) for r in self.identity_residuals],
+            "mass": None if self.mass is None else _section_json(self.mass),
+            "fourier": [_section_json(e) for e in self.fourier],
+            "support": [_section_json(s) for s in self.support],
             "tolerances": dict(self.tolerances),
             "seed": self.seed,
             "passed": self.passed,
@@ -238,57 +212,57 @@ class VerificationReport:
                 "tolerances", "seed", "passed"}
         if set(data) - keys:
             raise ValueError(f"unknown report fields: {sorted(set(data) - keys)}")
-
-        def as_complex(pair):
-            re, im = pair
-            return complex(float(re), float(im))
-
-        residuals = tuple(
-            IdentityResidual(
-                z=tuple(as_complex(p) for p in r["z"]),
-                lhs=float(r["lhs"]),
-                rhs=float(r["rhs"]),
-                relative_error=float(r["relative_error"]),
-                tolerance=float(r["tolerance"]),
-            )
-            for r in data.get("identity_residuals", ())
-        )
         mass = data.get("mass")
-        if mass is not None:
-            mass = MassCheck(
-                computed=float(mass["computed"]),
-                expected=float(mass["expected"]),
-                error=float(mass["error"]),
-                tolerance=float(mass["tolerance"]),
-            )
-        fourier = tuple(
-            FourierEntry(
-                k=tuple(int(v) for v in e["k"]),
-                modulus=float(e["modulus"]),
-                tolerance=float(e["tolerance"]),
-            )
-            for e in data.get("fourier", ())
-        )
-        support = tuple(
-            SupportSample(
-                point=tuple(as_complex(p) for p in s["point"]),
-                deviation=None if s["deviation"] is None else float(s["deviation"]),
-                exempt=bool(s["exempt"]),
-                tolerance=float(s["tolerance"]),
-            )
-            for s in data.get("support", ())
-        )
         report = cls(
-            identity_residuals=residuals,
-            mass=mass,
-            fourier=fourier,
-            support=support,
+            identity_residuals=tuple(_section(IdentityResidual, r)
+                                     for r in data.get("identity_residuals", ())),
+            mass=None if mass is None else _section(MassCheck, mass),
+            fourier=tuple(_section(FourierEntry, e) for e in data.get("fourier", ())),
+            support=tuple(_section(SupportSample, s) for s in data.get("support", ())),
             tolerances=dict(data.get("tolerances", {})),
             seed=data.get("seed"),
         )
         if "passed" in data and bool(data["passed"]) != report.passed:
             raise ValueError("stored pass flag disagrees with recorded residuals")
         return report
+
+
+def _json_value(value):
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, complex):
+        return [float(value.real), float(value.imag)]
+    return int(value) if isinstance(value, np.integer) else value
+
+
+def _section_json(item) -> dict:
+    """A report section as a JSON object: complex values as [re, im] pairs,
+    tuples as lists."""
+    return {f.name: _json_value(getattr(item, f.name)) for f in fields(item)}
+
+
+def _complex_tuple(pairs) -> tuple:
+    return tuple(complex(float(re), float(im)) for re, im in pairs)
+
+
+# JSON decoders of the section fields that are not floats
+_FIELD_VALUES = {
+    "z": _complex_tuple,
+    "point": _complex_tuple,
+    "k": lambda v: tuple(int(c) for c in v),
+    "deviation": lambda v: None if v is None else float(v),
+    "exempt": bool,
+}
+
+
+def _section(cls, data):
+    """The report section cls from its JSON object; a missing or malformed
+    field raises ValueError naming the section type."""
+    try:
+        return cls(**{f.name: _FIELD_VALUES.get(f.name, float)(data[f.name])
+                      for f in fields(cls)})
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {cls.__name__}: {type(exc).__name__}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,22 @@ class TestClarkAtomicSingular:
             s = (1j * (1.0 + eta) / (1.0 - eta)).real
             assert w == pytest.approx(2.0 / (1.0 + s * s), rel=1e-12)
 
+    @pytest.mark.parametrize("c,theta_xi,nu", [(1.0, 0.0, 0.0), (2.0, 0.0, math.pi / 4),
+                                               (0.7, 2.0, math.pi), (2.5, 5.5, 4.0)])
+    def test_atoms_in_angle_order_with_their_weights(self, c, theta_xi, nu):
+        alpha = UnimodularConstant.from_nu(nu)
+        mu = clark_atomic_singular(c, TorusPoint(theta_xi), alpha, K=50)
+        expected = []
+        for k in range(-50, 51):
+            s = alpha.nu + TWO_PI * k
+            eta = cmath.exp(1j * theta_xi) * (s - 1j * c) / (s + 1j * c)
+            expected.append((cmath.phase(eta) % TWO_PI, 2.0 * c / (c * c + s * s)))
+        expected.sort()
+        thetas = [p.theta for p, _ in mu.atoms]
+        assert thetas == sorted(thetas)
+        assert thetas == pytest.approx([t for t, _ in expected], abs=1e-12)
+        assert [w for _, w in mu.atoms] == pytest.approx([w for _, w in expected], rel=1e-12)
+
     def test_center_atom_is_minus_one_with_weight_two(self):
         mu = clark_atomic_singular(1.0, TorusPoint(0.0), UnimodularConstant.one(), K=1)
         center = min(mu.atoms, key=lambda zw: circle_distance(zw[0].theta, math.pi))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,6 +15,14 @@ import pytest
 
 from clark_measures import cli
 from clark_measures.cli import CommandSpec, SchemaError, main
+from clark_measures.torus_core import (
+    Antidiagonal,
+    ClarkMeasure2D,
+    CurveComponent,
+    Graph,
+    LineComponent,
+    TorusPoint,
+)
 from clark_measures.verify import IdentityResidual, VerificationReport
 
 TWO_PI = 2.0 * math.pi
@@ -31,6 +40,7 @@ def specs(tmp_path_factory):
         "example36": {"p1": [[4, 0], [-3, 0], [1, 0]], "p2": [[-1, 0], [-1, 0]], "n": 2},
         "prod_expexp": {"phi": EXP_SPEC, "psi": EXP_SPEC},
         "prod_blaschke_exp": {"phi": EXP_SPEC, "psi": BPAIR_SPEC},
+        "infinite_mass": {"singular_atoms": [{"angle": 0.0, "mass": math.inf}]},
         "unknown_key": {"monomial": 1, "bogus": 2},
     }
     paths = {}
@@ -200,6 +210,13 @@ class TestEval:
                              "--z", "[[0.1,0]]")
         assert code == 1
 
+    def test_infinite_singular_mass_is_schema_error(self, capsys, specs):
+        code, out, err = run_cli(capsys, "eval", "--input", specs["infinite_mass"],
+                                 "--z", "[0.1, 0.2]")
+        assert code == 1
+        assert out == ""
+        assert error_envelope(err)["kind"] == "schema"
+
     def test_z_not_json(self, capsys, specs):
         code, _, _ = run_cli(capsys, "eval", "--input", specs["monomial1"],
                              "--z", "(0.1,0)")
@@ -344,6 +361,127 @@ class TestEmission:
         line_elements = [p for p in polylines if p.get("data-component") == "line0"]
         assert line_elements
         assert all(p.get("stroke-opacity") == "0.500" for p in line_elements)
+
+
+# Piecewise-constant rule on the 8-node grid: NaN marks undefined nodes.
+# Every emitted column is exact arithmetic on grid angles, or the angle of
+# 1, -1 or -1j, so the text below does not depend on the platform's libm.
+_G_NODES = np.array([1, -1j, -1, -1, np.nan, 1j, -1j, -1j])
+_W_NODES = np.array([2.0, 0.25, 0.25, -0.0, 1.0, np.nan, -0.0, 0.25])
+
+
+def _node(zeta):
+    return np.rint(np.angle(zeta) * 4 / math.pi).astype(int) % 8
+
+
+# Antidiagonals on both sides of an opacity step and above 1; a graph with
+# undefined nodes, a wrap, opacity steps and a -0.0 weight; a line.
+_FENCE_MEASURE = ClarkMeasure2D(
+    curves=(
+        CurveComponent(Antidiagonal(TorusPoint(0.0)), 0.0004),
+        CurveComponent(Antidiagonal(TorusPoint(math.pi)), 0.0006),
+        CurveComponent(Antidiagonal(TorusPoint(math.pi / 2)), 1.5),
+        CurveComponent(Graph(lambda z: _G_NODES[_node(z)]), lambda z: _W_NODES[_node(z)]),
+    ),
+    lines=(LineComponent(TorusPoint(-math.pi / 4), 0.5),),
+    tail_bound=0.125,
+)
+
+_FENCE_CSV = """\
+component_id,theta1,theta2,weight
+curve0,0,0,0.00040000000000000002
+curve0,0.78539816339744828,5.497787143782138,0.00040000000000000002
+curve0,1.5707963267948966,4.7123889803846897,0.00040000000000000002
+curve0,2.3561944901923448,3.9269908169872414,0.00040000000000000002
+curve0,3.1415926535897931,3.1415926535897931,0.00040000000000000002
+curve0,3.9269908169872414,2.3561944901923448,0.00040000000000000002
+curve0,4.7123889803846897,1.5707963267948966,0.00040000000000000002
+curve0,5.497787143782138,0.78539816339744828,0.00040000000000000002
+curve1,0,3.1415926535897931,0.00059999999999999995
+curve1,0.78539816339744828,2.3561944901923448,0.00059999999999999995
+curve1,1.5707963267948966,1.5707963267948966,0.00059999999999999995
+curve1,2.3561944901923448,0.78539816339744828,0.00059999999999999995
+curve1,3.1415926535897931,0,0.00059999999999999995
+curve1,3.9269908169872414,5.497787143782138,0.00059999999999999995
+curve1,4.7123889803846897,4.7123889803846897,0.00059999999999999995
+curve1,5.497787143782138,3.9269908169872414,0.00059999999999999995
+curve2,0,1.5707963267948966,1.5
+curve2,0.78539816339744828,0.78539816339744828,1.5
+curve2,1.5707963267948966,0,1.5
+curve2,2.3561944901923448,5.497787143782138,1.5
+curve2,3.1415926535897931,4.7123889803846897,1.5
+curve2,3.9269908169872414,3.9269908169872414,1.5
+curve2,4.7123889803846897,3.1415926535897931,1.5
+curve2,5.497787143782138,2.3561944901923448,1.5
+curve3,0,0,2
+curve3,0.78539816339744828,4.7123889803846897,0.25
+curve3,1.5707963267948966,3.1415926535897931,0.25
+curve3,2.3561944901923448,3.1415926535897931,-0
+curve3,4.7123889803846897,4.7123889803846897,-0
+curve3,5.497787143782138,4.7123889803846897,0.25
+line0,5.497787143782138,0,0.5
+line0,5.497787143782138,0.78539816339744828,0.5
+line0,5.497787143782138,1.5707963267948966,0.5
+line0,5.497787143782138,2.3561944901923448,0.5
+line0,5.497787143782138,3.1415926535897931,0.5
+line0,5.497787143782138,3.9269908169872414,0.5
+line0,5.497787143782138,4.7123889803846897,0.5
+line0,5.497787143782138,5.497787143782138,0.5
+"""
+
+_FENCE_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" viewBox="-6 -6 640.32 640.32">
+<rect x="0" y="0" width="628.32" height="628.32" fill="none" stroke="#bbbbbb" stroke-width="1"/>
+<g class="alpha0" fill="none" stroke="#000000" stroke-width="1.2">
+<polyline data-component="curve0" stroke-opacity="0.000" points="78.54,78.54 157.08,157.08 \
+235.62,235.62 314.16,314.16 392.70,392.70 471.24,471.24 549.78,549.78"/>
+<polyline data-component="curve1" stroke-opacity="0.001" points="0.00,314.16 78.54,392.70 \
+157.08,471.24 235.62,549.78 314.16,628.32"/>
+<polyline data-component="curve1" stroke-opacity="0.001" points="392.70,78.54 471.24,157.08 \
+549.78,235.62"/>
+<polyline data-component="curve2" stroke-opacity="1.000" points="0.00,471.24 78.54,549.78 \
+157.08,628.32"/>
+<polyline data-component="curve2" stroke-opacity="1.000" points="235.62,78.54 314.16,157.08 \
+392.70,235.62 471.24,314.16 549.78,392.70"/>
+<polyline data-component="curve3" stroke-opacity="0.250" points="78.54,157.08 157.08,314.16 \
+235.62,314.16"/>
+<polyline data-component="curve3" stroke-opacity="0.000" points="235.62,314.16 471.24,157.08 \
+549.78,157.08"/>
+<polyline data-component="line0" stroke-opacity="0.500" points="549.78,628.32 549.78,549.78 \
+549.78,471.24 549.78,392.70 549.78,314.16 549.78,235.62 549.78,157.08 549.78,78.54"/>
+</g>
+</svg>
+"""
+
+
+class TestEmissionBytes:
+    """Exact CSV, SVG and JSON text of one hand-built measure at N = 8."""
+
+    def emitted(self, fmt, tmp_path):
+        target = tmp_path / f"fence.{fmt}"
+        spec = types.SimpleNamespace(N=8, format=fmt, output=str(target))
+        assert cli._emit_measure(_FENCE_MEASURE, spec) == 0
+        return target.read_text(encoding="utf-8")
+
+    def test_csv_text(self, tmp_path):
+        assert self.emitted("csv", tmp_path) == _FENCE_CSV
+
+    def test_svg_text(self, tmp_path):
+        assert self.emitted("svg", tmp_path) == _FENCE_SVG
+
+    def test_json_text(self, tmp_path):
+        # the CSV rows again, each a [theta1, theta2, weight] list at repr precision
+        components = {}
+        for row in _FENCE_CSV.splitlines()[1:]:
+            cid, *values = row.split(",")
+            components.setdefault(cid, []).append([float(v) for v in values])
+        payload = {
+            "components": [{"component_id": cid, "points": points}
+                           for cid, points in components.items()],
+            "tail_bound": 0.125,
+        }
+        assert self.emitted("json", tmp_path) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestVerify:

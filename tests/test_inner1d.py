@@ -186,6 +186,11 @@ class TestValidationAndJSON:
         with pytest.raises(ValueError):
             InnerFunction1D(singular_atoms=((TorusPoint(0.0), -1.0),))
 
+    @pytest.mark.parametrize("mass", [math.inf, math.nan])
+    def test_rejects_non_finite_mass(self, mass):
+        with pytest.raises(ValueError, match="finite"):
+            InnerFunction1D(singular_atoms=((0.0, mass),))
+
     def test_rejects_duplicate_atoms(self):
         with pytest.raises(ValueError):
             InnerFunction1D(singular_atoms=((TorusPoint(1.0), 1.0), (TorusPoint(1.0), 2.0)))

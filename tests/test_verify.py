@@ -493,6 +493,57 @@ class TestReport:
         with pytest.raises(ValueError):
             VerificationReport.from_json_dict(data)
 
+    @pytest.mark.parametrize("section, entry, cls", [
+        ("fourier", 0, "FourierEntry"),
+        ("identity_residuals", 0, "IdentityResidual"),
+        ("support", 0, "SupportSample"),
+        ("mass", None, "MassCheck"),
+    ])
+    def test_malformed_section_names_its_type(self, section, entry, cls):
+        data = json.loads(json.dumps(self.make_report().to_json_dict()))
+        item = data[section] if entry is None else data[section][entry]
+        del item["tolerance"]
+        with pytest.raises(ValueError, match=cls):
+            VerificationReport.from_json_dict(data)
+
+    @pytest.mark.parametrize("bad", [None, [1, 2], {"k": "ab", "modulus": 0.0,
+                                                    "tolerance": 1e-8}])
+    def test_malformed_fourier_entry_is_value_error(self, bad):
+        data = self.make_report().to_json_dict()
+        data["fourier"] = [bad]
+        with pytest.raises(ValueError, match="FourierEntry"):
+            VerificationReport.from_json_dict(data)
+
+    def test_json_text(self):
+        report = VerificationReport(
+            identity_residuals=(
+                IdentityResidual(z=(np.complex128(0.1 + 0.2j), -0.3j), lhs=np.float64(1.25),
+                                 rhs=1.0, relative_error=np.float64(0.25), tolerance=1e-6),
+            ),
+            mass=MassCheck(computed=np.float64(2.0), expected=2.0, error=0.0, tolerance=1e-8),
+            fourier=(FourierEntry(k=(np.int64(2), -1), modulus=np.float64(3e-9),
+                                  tolerance=1e-8),),
+            support=(
+                SupportSample(point=(1 + 0j, -1 + 0j), deviation=None, exempt=True,
+                              tolerance=1e-8),
+                SupportSample(point=(0.6 + 0.8j, 1j), deviation=np.float64(5e-9),
+                              exempt=False, tolerance=1e-8),
+            ),
+            tolerances={"identity_base_rel": 1e-6},
+            seed=1729,
+        )
+        assert json.dumps(report.to_json_dict(), sort_keys=True) == (
+            '{"fourier": [{"k": [2, -1], "modulus": 3e-09, "tolerance": 1e-08}], '
+            '"identity_residuals": [{"lhs": 1.25, "relative_error": 0.25, "rhs": 1.0, '
+            '"tolerance": 1e-06, "z": [[0.1, 0.2], [-0.0, -0.3]]}], '
+            '"mass": {"computed": 2.0, "error": 0.0, "expected": 2.0, "tolerance": 1e-08}, '
+            '"passed": false, "seed": 1729, '
+            '"support": [{"deviation": null, "exempt": true, "point": [[1.0, 0.0], [-1.0, 0.0]], '
+            '"tolerance": 1e-08}, {"deviation": 5e-09, "exempt": false, '
+            '"point": [[0.6, 0.8], [0.0, 1.0]], "tolerance": 1e-08}], '
+            '"tolerances": {"identity_base_rel": 1e-06}}'
+        )
+
     def test_rejects_inconsistent_flag(self):
         data = self.make_report().to_json_dict()
         data["passed"] = False
