@@ -320,6 +320,23 @@ def _blaschke_phase(phi: InnerFunction1D, thetas) -> np.ndarray:
             + len(zeros) * math.pi - 2.0 * arg_w.sum(axis=-1))
 
 
+def _one_minus_abs2(a: complex) -> float:
+    """1 - |a|^2, correctly rounded.
+
+    Veltkamp's split writes each part of a as hi + lo with at most 26 bits
+    each, so the squares are exact sums of float products, and math.fsum
+    adds them with one rounding.  The naive form is off by up to
+    2 eps/(1 - |a|^2) relative, which a zero near the circle makes large.
+    """
+    parts = [1.0]
+    for v in (a.real, a.imag):
+        hi = v * 134217729.0  # 2^27 + 1
+        hi -= hi - v
+        lo = v - hi
+        parts += [-hi * hi, -2.0 * hi * lo, -lo * lo]
+    return math.fsum(parts)
+
+
 def boundary_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float:
     """|phi'| on the circle in closed form:
 
@@ -335,7 +352,7 @@ def boundary_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float
     total = float(phi.monomial_power)
     for a in phi.blaschke_zeros:
         aj = a.value
-        total += (1.0 - abs(aj) ** 2) / abs(z - aj) ** 2
+        total += _one_minus_abs2(aj) / abs(z - aj) ** 2
     for xi, mass in phi.singular_atoms:
         total += 2.0 * mass / abs(xi.value - z) ** 2
     return total

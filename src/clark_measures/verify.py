@@ -212,6 +212,12 @@ class VerificationReport:
                 "tolerances", "seed", "passed"}
         if set(data) - keys:
             raise ValueError(f"unknown report fields: {sorted(set(data) - keys)}")
+        for key, kind, name in (("identity_residuals", (list, tuple), "array"),
+                                ("fourier", (list, tuple), "array"),
+                                ("support", (list, tuple), "array"),
+                                ("tolerances", dict, "object")):
+            if key in data and not isinstance(data[key], kind):
+                raise ValueError(f"report field {key!r} must be a JSON {name}")
         mass = data.get("mass")
         report = cls(
             identity_residuals=tuple(_section(IdentityResidual, r)
@@ -382,8 +388,14 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
     the fiber coordinate's kernel over its atoms (for exp x exp, of each
     factor's kernel over its Lorentzian profile), then one weighted sum over
     the outer nodes.  On a singular fiber that pass is real and closed form,
-    lor P_z(eta) = 2q/((y - p)^2 + q^2) over the level coordinate y.  A
-    point's result does not depend on which points were evaluated before it.
+    lor P_z(eta) = 2q/((y - p)^2 + q^2) over the level coordinate y, summed
+    over the same window |k| <= K as the generic pass: directly on the few
+    rows whose poles lie near the level range, and by one Taylor expansion
+    about its centre on the rest, whose proven remainder is added to the
+    point's error bound.  The sum over all k in closed form would be the
+    fiber factor's own Herglotz identity, which would make this check
+    circular, so it is not used.  A point's result does not depend on which
+    points were evaluated before it.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     fiber = _product_fiber(P, _as_alpha(alpha), grid, K)
@@ -593,9 +605,9 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     whose substitution flattens the fiber oscillation; the integrator's
     reported bound is the tolerance term.  The fiber geometry is built once
     per call, and the profiles of the monomials w^{-m}, |m| <= kmax, of each
-    factor once (on a singular fiber in one pass of running powers), so
-    every entry (k1, k2) is one outer sum over the profiles of z_1^{-k1} and
-    z_2^{-k2}.
+    factor once (on a singular fiber in one closed-form pass, split into near
+    and far rows as in product_integrator), so every entry (k1, k2) is one
+    outer sum over the profiles of z_1^{-k1} and z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -137,6 +138,30 @@ class TestDerivative:
         for z in 0.9 * random_interior(rng, 100) / 0.95:
             fd = (eval_inner(phi, z + h) - eval_inner(phi, z - h)) / (2 * h)
             assert derivative(phi, z) == pytest.approx(fd, rel=1e-7, abs=1e-12)
+
+
+def exact_boundary_modulus(phi, zeta: complex):
+    """k + sum_j (1 - |a_j|^2)/|zeta - a_j|^2 at 50 digits, from the same floats."""
+    with mpmath.workdps(50):
+        z = mpmath.mpc(zeta)
+        total = mpmath.mpf(phi.monomial_power)
+        for a in phi.blaschke_zeros:
+            aj = mpmath.mpc(a.value)
+            total += (1 - abs(aj) ** 2) / abs(z - aj) ** 2
+        return total
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_boundary_modulus_with_a_zero_near_the_circle(gap):
+    # 1 - |a|^2 is the only ill-conditioned term at points at least 1e-3 from
+    # the zero; it is formed exactly, so the sum of positive terms is within
+    # a few eps of the 50-digit value
+    a = complex((1.0 - gap) * np.exp(0.9j))
+    phi = InnerFunction1D(monomial_power=1, blaschke_zeros=(DiskPoint(a), DiskPoint(0.3 - 0.2j)))
+    for theta in 0.9 + np.array([1e-3, -2e-3, 0.1, 2.0, -3.0]):
+        zeta = TorusPoint(float(theta))
+        want = exact_boundary_modulus(phi, zeta.value)
+        assert abs(boundary_derivative_modulus(phi, zeta) - want) <= 1e-14 * want
 
 
 class TestAngularDerivative:

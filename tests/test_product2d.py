@@ -24,9 +24,13 @@ from clark_measures.product2d import (
     BranchCollisionError,
     ProductInner,
     SkipNode,
+    _blaschke_fiber_atoms,
     _blaschke_pair_roots,
+    _far_series,
+    _horner,
     _LorentzFiber,
     _product_fiber,
+    _series_coef,
     _wrapped_lorentz,
     blaschke_exp_branches,
     branch_curves,
@@ -36,6 +40,7 @@ from clark_measures.product2d import (
     product_map,
 )
 from clark_measures.torus_core import poisson_kernel
+from test_inner1d import exact_boundary_modulus
 
 EXP = InnerFunction1D(singular_atoms=((0.0, 1.0),))
 LAM = 0.5j
@@ -187,6 +192,20 @@ class TestExpExpBranches:
         assert np.allclose(g(zetas), np.conj(zetas), atol=1e-14)
         assert W(np.array([-1.0 + 0j]))[0] == pytest.approx(2.0, rel=1e-14)
         assert np.allclose(W(zetas), np.abs(zetas - 1.0) ** 2 / 2.0, rtol=1e-13)
+
+
+@pytest.mark.parametrize("gap", [1e-6, 1e-9, 1e-12])
+def test_fiber_weights_with_a_zero_near_the_circle(gap):
+    # the companion-matrix fiber's weights 1/|psi'| at its roots, against a
+    # 50-digit evaluation at the same roots, where they are 1e-3 from the zero
+    a = complex((1.0 - gap) * np.exp(0.9j))
+    psi = InnerFunction1D(monomial_power=1, blaschke_zeros=(a, 0.3 - 0.2j))
+    roots, weights = _blaschke_fiber_atoms(psi, np.exp(1j * np.linspace(0.0, 6.0, 64)))
+    away = np.abs(roots - a) >= 1e-3
+    assert away.sum() > 64
+    for root, weight in zip(roots[away], weights[away]):
+        want = exact_boundary_modulus(psi, complex(root))
+        assert abs(1.0 / weight - want) <= 1e-14 * want
 
 
 class TestBlaschkeExpBranches:
@@ -482,6 +501,70 @@ class TestLorentzFiber:
         for m, sums in moments.items():
             for got, want in zip(sums, fiber.sums(lambda w: w ** (-m))):
                 assert np.all(np.abs(got - want) <= 8 * (abs(m) + 2) * EPS * mass)
+
+    @pytest.mark.parametrize("span", [2 * math.pi, 4 * math.pi])
+    @pytest.mark.parametrize("c", [0.05, 1.0, 5.0])
+    def test_closed_forms_at_production_scale(self, span, c):
+        # K and N as product_integrator has them, at the tolerances above.
+        # The closed forms run on all 4,096 levels, the generic oracle on
+        # every 64th, whose sums do not depend on the other levels; w^m is
+        # the conjugate of w^-m by construction.  Points
+        # near xi have |p| and q in the thousands, so every row is far.  The
+        # offsets put the near rows on the half-window edge and past the
+        # window edge; there z conj(xi) is real, so p = 0 and both paths
+        # form the same levels.
+        K, xi = 1000, complex(np.exp(0.7j))
+        cases = (
+            (0.0, (0j, 0.5 - 0.3j, 0.999 * np.exp(2.0j), 0.999 * xi * np.exp(1e-3j),
+                   0.999 * xi * np.exp(0.05j))),
+            (math.pi * K, (0.5 * xi, -0.999 * xi)),
+            (2.0 * math.pi * K, (0.5 * xi, -0.999 * xi)),
+        )
+        for offset, points in cases:
+            base = np.linspace(-0.5 * span, 0.5 * span, 4096) - offset
+            fiber = _LorentzFiber(base, c, xi, K)
+            oracle = _LorentzFiber(base[::64], c, xi, K)
+            for z in points:
+                rel = 1e-14 + 64 * EPS / (1.0 - abs(z))
+                closed = fiber.poisson_sums(z)
+                for got, want in zip(closed, oracle.sums(lambda w: poisson_kernel(z, w))):
+                    assert np.all(np.abs(got[::64] - want) <= rel * want)
+            mass = _wrapped_lorentz(c, oracle.base)
+            moments = fiber.moment_sums(8)
+            for m in range(1, 9):
+                for got, want in zip(moments[-m], oracle.sums(lambda w: w ** m)):
+                    assert np.all(np.abs(got[::64] - want) <= 8 * (m + 2) * EPS * mass)
+
+    @pytest.mark.parametrize("half_width", [0.01, 0.3, 1.0])
+    def test_moment_sums_on_a_narrow_level_range(self, half_width):
+        # a narrow range puts rows with |a_k| near c in the far field, where
+        # the binomial terms of (t + 2ic)^(m-1) would swamp their sum
+        for c in (1.0, 5.0):
+            fiber = _LorentzFiber(np.linspace(0.4 - half_width, 0.4 + half_width, 64), c, 1j, 1000)
+            mass = _wrapped_lorentz(c, fiber.base)
+            moments = fiber.moment_sums(8)
+            for m in range(1, 9):
+                for got, want in zip(moments[-m], fiber.sums(lambda w: w ** m)):
+                    assert np.all(np.abs(got - want) <= 8 * (m + 2) * EPS * mass)
+
+    def test_far_series_remainder_covers_its_error(self):
+        # at a small order the truncation shows: the stated remainder covers
+        # the direct far sum minus the expansion, over the whole level range
+        # and in either window, and is not far above it
+        K, R, M = 200, 2.0, 3
+        a = 0.7 + 2 * math.pi * np.arange(-K, K + 1) - 0.4j
+        far = np.abs(a) >= 8 * R
+        half = slice(K - K // 2, K + K // 2 + 1)
+        in_half = np.zeros(len(a), dtype=bool)
+        in_half[half] = True
+        sums, bounds = _far_series(a, far, half, R, M, 3)
+        x = np.linspace(-R, R, 101)
+        for p in (1, 2, 3):
+            for window, rows in ((0, far), (1, far & in_half)):
+                direct = np.sum((x[:, None] + a[rows]) ** -p, axis=1)
+                error = np.abs(direct - _horner(_series_coef(sums[window], p, M)[None], x)[0])
+                assert np.all(error <= bounds[p - 1])
+                assert error.max() >= 0.1 * bounds[p - 1]
 
     def test_no_array_spans_the_window(self):
         K = 60

@@ -514,6 +514,13 @@ class TestReport:
         with pytest.raises(ValueError, match="FourierEntry"):
             VerificationReport.from_json_dict(data)
 
+    @pytest.mark.parametrize("key", ["fourier", "identity_residuals", "support", "tolerances"])
+    def test_malformed_top_level_names_its_key(self, key):
+        data = self.make_report().to_json_dict()
+        data[key] = 5
+        with pytest.raises(ValueError, match=key):
+            VerificationReport.from_json_dict(data)
+
     def test_json_text(self):
         report = VerificationReport(
             identity_residuals=(
