@@ -1,200 +1,23 @@
-"""Clark measures of inner functions on the disc, bidisc, and polydisc."""
+"""Clark measures of inner functions on the disc, bidisc, and polydisc.
 
-from .torus_core import (
-    TorusPoint,
-    DiskPoint,
-    UnimodularConstant,
-    QuadratureGrid,
-    IntegralResult,
-    DiscreteMeasure1D,
-    Antidiagonal,
-    Graph,
-    CurveComponent,
-    LineComponent,
-    ClarkMeasure2D,
-    poisson_kernel,
-    poisson_kernel_nd,
-    periodic_quadrature,
-    integrate_measure2d,
-)
-from .inner1d import (
-    InnerFunction1D,
-    BoundaryValue,
-    Unimodular,
-    Zero,
-    Undefined,
-    eval_inner,
-    boundary_value,
-    boundary_values_array,
-    derivative,
-    angular_derivative_modulus,
-    boundary_derivative_modulus,
-)
-from .clark1d import (
-    LevelPoints,
-    UnsupportedFunctionError,
-    DegenerateDerivativeError,
-    clark_blaschke,
-    clark_atomic_singular,
-    clark_measure1d,
-    level_points,
-)
-from .embed import (
-    EmbeddedClarkND,
-    embedding_map,
-    embed_level_set,
-    embed_clark2d,
-    embed_clark_nd,
-    integrate_embed_nd,
-)
-from .product2d import (
-    ProductInner,
-    BranchFamily,
-    SkipNode,
-    BranchCollisionError,
-    product_map,
-    fiber_measure,
-    product_clark_integrate,
-    product_branch_family,
-    product_branch_measure,
-    expexp_branches,
-    blaschke_exp_branches,
-    branch_curves,
-)
-from .rif2d import (
-    Poly1,
-    RIF_n1,
-    LevelRational,
-    RIFError,
-    reflect,
-    rif_map,
-    b_alpha,
-    w_alpha,
-    w_alpha_values,
-    singularities,
-    exceptional_values,
-    line_constant,
-    rif_clark_measure,
-    rif_boundary_value,
-)
-from .verify import (
-    VerificationReport,
-    IdentityResidual,
-    MassCheck,
-    FourierEntry,
-    SupportSample,
-    herglotz_rhs,
-    sample_test_points,
-    measure_integrator,
-    embed_integrator,
-    product_integrator,
-    poisson_identity_check,
-    total_mass_check,
-    support_inclusion_check,
-    fourier_rp_check,
-    product_fourier_rp_check,
-    embedding_boundary_map,
-    product_boundary_map,
-    rif_boundary_map,
-)
-from .cli import (
-    CommandSpec,
-    SchemaError,
-    ComputationError,
-    run,
-    main,
-)
+The public names are those listed in each submodule's __all__; this package
+re-exports them all.
+"""
+
+from . import clark1d, cli, embed, inner1d, product2d, rif2d, torus_core, verify
+from .clark1d import *  # noqa: F403
+from .cli import *  # noqa: F403
+from .embed import *  # noqa: F403
+from .inner1d import *  # noqa: F403
+from .product2d import *  # noqa: F403
+from .rif2d import *  # noqa: F403
+from .torus_core import *  # noqa: F403
+from .verify import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TorusPoint",
-    "DiskPoint",
-    "UnimodularConstant",
-    "QuadratureGrid",
-    "IntegralResult",
-    "DiscreteMeasure1D",
-    "Antidiagonal",
-    "Graph",
-    "CurveComponent",
-    "LineComponent",
-    "ClarkMeasure2D",
-    "poisson_kernel",
-    "poisson_kernel_nd",
-    "periodic_quadrature",
-    "integrate_measure2d",
-    "InnerFunction1D",
-    "BoundaryValue",
-    "Unimodular",
-    "Zero",
-    "Undefined",
-    "eval_inner",
-    "boundary_value",
-    "boundary_values_array",
-    "derivative",
-    "angular_derivative_modulus",
-    "boundary_derivative_modulus",
-    "LevelPoints",
-    "UnsupportedFunctionError",
-    "DegenerateDerivativeError",
-    "clark_blaschke",
-    "clark_atomic_singular",
-    "clark_measure1d",
-    "level_points",
-    "EmbeddedClarkND",
-    "embedding_map",
-    "embed_level_set",
-    "embed_clark2d",
-    "embed_clark_nd",
-    "integrate_embed_nd",
-    "ProductInner",
-    "BranchFamily",
-    "SkipNode",
-    "BranchCollisionError",
-    "product_map",
-    "fiber_measure",
-    "product_clark_integrate",
-    "product_branch_family",
-    "product_branch_measure",
-    "expexp_branches",
-    "blaschke_exp_branches",
-    "branch_curves",
-    "Poly1",
-    "RIF_n1",
-    "LevelRational",
-    "RIFError",
-    "reflect",
-    "rif_map",
-    "b_alpha",
-    "w_alpha",
-    "w_alpha_values",
-    "singularities",
-    "exceptional_values",
-    "line_constant",
-    "rif_clark_measure",
-    "rif_boundary_value",
-    "VerificationReport",
-    "IdentityResidual",
-    "MassCheck",
-    "FourierEntry",
-    "SupportSample",
-    "herglotz_rhs",
-    "sample_test_points",
-    "measure_integrator",
-    "embed_integrator",
-    "product_integrator",
-    "poisson_identity_check",
-    "total_mass_check",
-    "support_inclusion_check",
-    "fourier_rp_check",
-    "product_fourier_rp_check",
-    "embedding_boundary_map",
-    "product_boundary_map",
-    "rif_boundary_map",
-    "CommandSpec",
-    "SchemaError",
-    "ComputationError",
-    "run",
-    "main",
-    "__version__",
-]
+    name
+    for module in (torus_core, inner1d, clark1d, embed, product2d, rif2d, verify, cli)
+    for name in module.__all__
+] + ["__version__"]

@@ -402,8 +402,6 @@ def _cmd_verify(spec: CommandSpec) -> int:
         mu = None
         # Branch graphs of a singular fiber defeat grid quadrature near the
         # fiber atom; the product path integrates the monomials instead.
-        # It runs first, so that its fiber is freed before the integrator
-        # builds its own.
         fourier = _compute(lambda: product_fourier_rp_check(
             P, alpha, _FOURIER_KMAX, grid, K=spec.K))
         integrate = product_integrator(P, alpha, grid, K=spec.K)

@@ -184,7 +184,7 @@ def _as_interior(z) -> complex:
     if isinstance(z, DiskPoint):
         return z.value
     z = complex(z)
-    if abs(z) >= 1.0:
+    if not abs(z) < 1.0:
         raise ValueError(f"point {z} is not inside the unit disc")
     return z
 
@@ -306,16 +306,19 @@ def _blaschke_phase(phi: InnerFunction1D, thetas) -> np.ndarray:
     w = 1 - conj(a) z, and Re w > 0, so its phase pi + theta - 2 Arg w is
     continuous.  With a = rho e^{i t_a} and t = theta - t_a,
     w = (1 - rho) + 2 rho sin^2(t/2) - i rho sin t, free of cancellation
-    for zeros near the circle.  The lift nu + k theta + sum_j (pi + theta -
-    2 Arg w_j) is strictly increasing, with slope |phi'|, and gains
+    for zeros near the circle.  1 - rho is (1 - |a|^2)/(1 + rho) from the
+    correctly rounded 1 - |a|^2, since 1.0 - rho from the rounded rho is
+    off by eps/(1 - rho) relative.  The lift nu + k theta + sum_j (pi +
+    theta - 2 Arg w_j) is strictly increasing, with slope |phi'|, and gains
     2 pi degree per turn.
     """
     thetas = np.asarray(thetas, dtype=float)
     zeros = np.array([a.value for a in phi.blaschke_zeros], dtype=complex)
     rho = np.abs(zeros)
+    gap = np.array([_one_minus_abs2(a) for a in zeros]) / (1.0 + rho)
     t = thetas[..., None] - np.angle(zeros)
     half = np.sin(0.5 * t)
-    arg_w = np.arctan2(-rho * np.sin(t), (1.0 - rho) + 2.0 * rho * half * half)
+    arg_w = np.arctan2(-rho * np.sin(t), gap + 2.0 * rho * half * half)
     return (phi.unimodular_factor.nu + phi.degree * thetas
             + len(zeros) * math.pi - 2.0 * arg_w.sum(axis=-1))
 

@@ -167,7 +167,6 @@ class BranchFamily:
     kind: str
     branches: tuple
     index_range: tuple = None
-    tail_bound: float = 0.0
 
 
 def product_map(P: ProductInner):

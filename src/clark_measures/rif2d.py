@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npp
@@ -185,6 +186,17 @@ class RIF_n1:
         object.__setattr__(self, "_p1t", reflect(p1, n))
         object.__setattr__(self, "_p2t", reflect(p2, n))
         object.__setattr__(self, "_resultant", resultant)
+
+    @cached_property
+    def _singularities(self) -> tuple:
+        """singularities(self), found once; no radial limit is taken."""
+        return _torus_singularities(self)
+
+    @cached_property
+    def _singular_limits(self) -> tuple:
+        """(tau, gamma, nontangential value of phi there) per torus singularity."""
+        return tuple((tau, gamma, _radial_limit(self, tau.value, gamma.value))
+                     for tau, gamma in self._singularities)
 
     @property
     def p1_reflected(self) -> Poly1:
@@ -366,13 +378,11 @@ def _refined_cluster_root(resultant: Poly1, cluster: np.ndarray) -> complex:
     return z
 
 
-def singularities(R: RIF_n1):
-    """Common torus zeros of p and its reflection, as (tau, gamma) pairs.
-
-    Roots of the z_2-resultant are clustered (np.roots scatters a
-    multiplicity-m torus root by ~eps^(1/m)), each cluster Newton-refined on
-    the matching derivative, then held to the 1e-8 torus filter.
-    """
+def _torus_singularities(R: RIF_n1) -> tuple:
+    """singularities(R), computed: roots of the z_2-resultant are clustered
+    (np.roots scatters a multiplicity-m torus root by ~eps^(1/m)), each
+    cluster Newton-refined on the matching derivative, then held to the 1e-8
+    torus filter."""
     res = R._resultant
     if res.degree < 1:
         return ()
@@ -408,6 +418,15 @@ def singularities(R: RIF_n1):
     return tuple(found)
 
 
+def singularities(R: RIF_n1):
+    """Common torus zeros of p and its reflection, as (tau, gamma) pairs.
+
+    They are found once per R and cached on it, with no radial limit taken,
+    so this works wherever the clustering does.
+    """
+    return R._singularities
+
+
 def _radial_limit(R: RIF_n1, z1: complex, z2: complex) -> complex:
     """Richardson-extrapolated limit of phi(r z1, r z2) along r = 1 - 2^-m."""
     previous = None
@@ -439,12 +458,6 @@ def rif_boundary_value(R: RIF_n1, zeta) -> complex:
     return _radial_limit(R, z1, z2)
 
 
-def _singular_limits(R: RIF_n1):
-    """(tau, gamma, nontangential value of phi there) per torus singularity."""
-    return tuple((tau, gamma, _radial_limit(R, tau.value, gamma.value))
-                 for tau, gamma in singularities(R))
-
-
 def _distinct_levels(limits):
     values = []
     for _, _, limit in limits:
@@ -455,15 +468,14 @@ def _distinct_levels(limits):
 
 
 def exceptional_values(R: RIF_n1):
-    """Nontangential values of phi at its torus singularities, deduplicated."""
-    return _distinct_levels(_singular_limits(R))
+    """Nontangential values of phi at its torus singularities, deduplicated;
+    the limits are taken once per R and cached on it."""
+    return _distinct_levels(R._singular_limits)
 
 
-def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant, limits=None):
-    """(level, exceptional): alpha, or the exceptional value within 1e-6 of it.
-
-    limits, _singular_limits(R), is computed here unless given."""
-    for value in _distinct_levels(_singular_limits(R) if limits is None else limits):
+def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant):
+    """(level, exceptional): alpha, or the exceptional value within 1e-6 of it."""
+    for value in exceptional_values(R):
         if circle_distance(alpha.nu, value.nu) <= _EXCEPTIONAL_SNAP:
             return value, True
     return alpha, False
@@ -480,13 +492,8 @@ def _dphi_dz1(R: RIF_n1, derivatives, z1: complex, z2: complex) -> complex:
 
 def line_constant(R: RIF_n1, tau: TorusPoint) -> float:
     """1/|dphi/dz_1(tau, .)|, checked z_2-independent along the line."""
-    return _line_constant(R, tau, singularities(R))
-
-
-def _line_constant(R: RIF_n1, tau: TorusPoint, sing) -> float:
-    """line_constant with the singularities of R given."""
     samples = np.exp(1j * (0.37 + 2.0 * math.pi * np.arange(16) / 16))
-    sing_z2 = [g.value for t, g in sing if t.close_to(tau, 1e-8)]
+    sing_z2 = [g.value for t, g in singularities(R) if t.close_to(tau, 1e-8)]
     derivatives = tuple(p.derivative() for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected))
     moduli = []
     for z2 in samples:
@@ -505,16 +512,15 @@ def _line_constant(R: RIF_n1, tau: TorusPoint, sing) -> float:
 
 def rif_clark_measure(R: RIF_n1, alpha: UnimodularConstant) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
-    (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated."""
-    limits = _singular_limits(R)
-    snapped, is_exceptional = _snap_exceptional(R, alpha, limits)
+    (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated.
+    The singularity analysis is R's cached one."""
+    snapped, is_exceptional = _snap_exceptional(R, alpha)
     level = b_alpha(R, snapped)
     weight_rule = lambda zeta: w_alpha_values(R, snapped, zeta)  # noqa: E731
     curve = CurveComponent(kind=Graph(level.curve_rule()), weight=weight_rule)
     lines = []
     if is_exceptional:
-        sing = tuple((tau, gamma) for tau, gamma, _ in limits)
-        for tau, _, value in limits:
+        for tau, _, value in R._singular_limits:
             if circle_distance(math.atan2(value.imag, value.real), snapped.nu) < 1e-8:
-                lines.append(LineComponent(tau=tau, constant=_line_constant(R, tau, sing)))
+                lines.append(LineComponent(tau=tau, constant=line_constant(R, tau)))
     return ClarkMeasure2D(curves=(curve,), lines=tuple(lines), tail_bound=0.0)

@@ -14,6 +14,24 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+__all__ = [
+    "TorusPoint",
+    "DiskPoint",
+    "UnimodularConstant",
+    "QuadratureGrid",
+    "IntegralResult",
+    "DiscreteMeasure1D",
+    "Antidiagonal",
+    "Graph",
+    "CurveComponent",
+    "LineComponent",
+    "ClarkMeasure2D",
+    "poisson_kernel",
+    "poisson_kernel_nd",
+    "periodic_quadrature",
+    "integrate_measure2d",
+]
+
 TWO_PI = 2.0 * math.pi
 
 # Canonical point-equality tolerance on the circle, in radians.

@@ -99,18 +99,17 @@ def _poisson_sup(z: complex) -> float:
 def herglotz_rhs(phi, alpha, z) -> float:
     """(1-|Phi(z)|^2)/|alpha-Phi(z)|^2 for an interior point z."""
     value = complex(phi(z))
-    if abs(value) >= 1.0:
+    if not abs(value) < 1.0:
         raise ValueError(f"Phi(z) = {value} is not interior")
     a = _as_alpha(alpha).alpha
     return (1.0 - abs(value) ** 2) / abs(a - value) ** 2
 
 
-def sample_test_points(d: int, count: int = 100, seed: int = DEFAULT_SEED,
-                       max_radius: float = 0.95):
-    """Reproducible interior test points: radii uniform in [0, max_radius],
-    angles uniform, per coordinate."""
+def sample_test_points(d: int, count: int = 100, seed: int = DEFAULT_SEED):
+    """Reproducible interior test points: radii uniform in [0, 0.95], angles
+    uniform, per coordinate."""
     rng = np.random.default_rng(seed)
-    radii = rng.uniform(0.0, max_radius, size=(count, d))
+    radii = rng.uniform(0.0, 0.95, size=(count, d))
     angles = rng.uniform(0.0, TWO_PI, size=(count, d))
     points = radii * np.exp(1j * angles)
     return tuple(tuple(complex(c) for c in row) for row in points)
@@ -280,7 +279,7 @@ def _interior_point(z, d: int) -> tuple:
     z = tuple(complex(c) for c in z)
     if len(z) != d:
         raise ValueError(f"expected {d} coordinates, got {len(z)}")
-    if any(abs(c) >= 1.0 for c in z):
+    if not all(abs(c) < 1.0 for c in z):
         raise ValueError(f"point {z} is not inside the open polydisc")
     return z
 
@@ -477,20 +476,16 @@ def total_mass_check(mu, phi, alpha, grid: QuadratureGrid = None,
     )
 
 
-def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha,
-                            samples_per_component: int = 16,
-                            exemptions=(), tolerance: float = SUPPORT_TOL):
-    """Samples of every positive-weight component checked against the level
-    set: |Phi*(s) - alpha| <= tolerance, unless s is within tolerance of a
-    declared singular/accumulation point.
+def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha, exemptions=()):
+    """16 samples of every positive-weight component checked against the
+    level set: |Phi*(s) - alpha| <= SUPPORT_TOL, unless s is within
+    SUPPORT_TOL of a declared singular/accumulation point.
 
     boundary_map maps a torus point pair to Phi* there, or None where the
     nontangential value does not exist.
     """
     alpha_value = _as_alpha(alpha).alpha
-    m = int(samples_per_component)
-    thetas = np.mod(0.37 + TWO_PI * np.arange(m) / m, TWO_PI)
-    zeta = np.exp(1j * thetas)
+    zeta = np.exp(1j * np.mod(0.37 + TWO_PI * np.arange(16) / 16, TWO_PI))
     exempt_points = [
         tuple(p.value if isinstance(p, TorusPoint) else complex(p) for p in pair)
         for pair in exemptions
@@ -498,7 +493,7 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha,
 
     def is_exempt(point):
         return any(
-            max(abs(point[0] - e[0]), abs(point[1] - e[1])) <= tolerance
+            max(abs(point[0] - e[0]), abs(point[1] - e[1])) <= SUPPORT_TOL
             for e in exempt_points
         )
 
@@ -507,31 +502,28 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha,
         deviation = None if value is None else float(abs(complex(value) - alpha_value))
         samples.append(
             SupportSample(point=point, deviation=deviation,
-                          exempt=is_exempt(point), tolerance=tolerance)
+                          exempt=is_exempt(point), tolerance=SUPPORT_TOL)
         )
 
     samples = []
     for comp in mu.curves:
         if isinstance(comp.kind, Antidiagonal) and comp.weight == 0.0:
             continue
-        z2 = comp.second_coordinate(zeta)
-        for j in range(m):
-            if not (np.isfinite(z2[j].real) and np.isfinite(z2[j].imag)):
-                continue
-            record((complex(zeta[j]), complex(z2[j])))
+        for z1, z2 in zip(zeta, comp.second_coordinate(zeta)):
+            if np.isfinite(z2.real) and np.isfinite(z2.imag):
+                record((complex(z1), complex(z2)))
     for line in mu.lines:
-        for j in range(m):
-            record((line.tau.value, complex(zeta[j])))
+        for z2 in zeta:
+            record((line.tau.value, complex(z2)))
     return tuple(samples)
 
 
-def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
-                     base_tol: float = FOURIER_BASE_TOL):
+def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None):
     """Mixed-sign Fourier coefficients of the measure.
 
     For a Clark measure of an inner function all of them vanish; each entry's
-    tolerance is base_tol plus the measure's tail bound plus the grid-halving
-    estimate of its own quadrature.
+    tolerance is FOURIER_BASE_TOL plus the measure's tail bound plus the
+    grid-halving estimate of its own quadrature.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -588,26 +580,26 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None,
             FourierEntry(
                 k=(k1, k2),
                 modulus=float(abs(val)),
-                tolerance=base_tol + mu.tail_bound + float(abs(val - val_half)),
+                tolerance=FOURIER_BASE_TOL + mu.tail_bound + float(abs(val - val_half)),
             )
         )
     return tuple(entries)
 
 
 def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
-                             grid: QuadratureGrid = None, K: int = PRODUCT_TRUNCATION,
-                             base_tol: float = FOURIER_BASE_TOL):
+                             grid: QuadratureGrid = None, K: int = PRODUCT_TRUNCATION):
     """Mixed-sign Fourier coefficients of a product measure.
 
     Branch graphs of a singular fiber oscillate without bound near the
     fiber atom, so sampling the curve components on a grid cannot converge
     there.  Each coefficient is instead integrated by the product path,
-    whose substitution flattens the fiber oscillation; the integrator's
-    reported bound is the tolerance term.  The fiber geometry is built once
-    per call, and the profiles of the monomials w^{-m}, |m| <= kmax, of each
-    factor once (on a singular fiber in one closed-form pass, split into near
-    and far rows as in product_integrator), so every entry (k1, k2) is one
-    outer sum over the profiles of z_1^{-k1} and z_2^{-k2}.
+    whose substitution flattens the fiber oscillation; its tolerance is
+    FOURIER_BASE_TOL plus the integrator's reported bound.  The fiber
+    geometry is built once per call, and the profiles of the monomials
+    w^{-m}, |m| <= kmax, of each factor once (on a singular fiber in one
+    closed-form pass, split into near and far rows as in
+    product_integrator), so every entry (k1, k2) is one outer sum over the
+    profiles of z_1^{-k1} and z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -626,7 +618,7 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
                 FourierEntry(
                     k=(k1, k2),
                     modulus=float(abs(res.value)),
-                    tolerance=base_tol + res.error_bound,
+                    tolerance=FOURIER_BASE_TOL + res.error_bound,
                 )
             )
     return tuple(entries)

@@ -167,6 +167,10 @@ class TestClarkBlaschke:
     # at alpha = e^{i nu}; the draws are m, the angle of a, nu and alpha's angle
     @example(data=Draws(4, 5.960464477539063e-08, 5.960464477539063e-08, 5.960464477539063e-08),
              degree=5, exponent=14.0)
+    # zeros 1e-11 from the circle, where 1 - |a| taken from the rounded |a|
+    # moved the atom by 4.6e-9 (first) and the mass by 2.5e-8 relative (second)
+    @example(data=Draws(0, 1.8897297922126566e-08, 0.0, 0.0), degree=1, exponent=11.0)
+    @example(data=Draws(1, 1e-09, 0.0, 0.0), degree=2, exponent=11.0)
     def test_zeros_near_the_circle(self, data, degree, exponent):
         # one zero at distance 10^-exponent from the circle: either every
         # atom is right, or the call says it cannot resolve them

@@ -56,6 +56,13 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_inner(IDENTITY, 1.0 + 0j)
 
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    def test_rejects_non_finite_point(self, z):
+        for f in (eval_inner, derivative):
+            with pytest.raises(ValueError, match="not inside"):
+                f(MIXED, z)
+
     @pytest.mark.parametrize("phi", CORPUS, ids=lambda p: f"deg{p.degree}x{len(p.singular_atoms)}")
     def test_maximum_principle(self, phi):
         rng = np.random.default_rng(2026)

@@ -29,6 +29,7 @@ from clark_measures.rif2d import (
     w_alpha,
     w_alpha_values,
 )
+from clark_measures import rif2d
 from clark_measures.rif2d import _trig_eval, _weight_correlations
 
 GRID = QuadratureGrid(4096)
@@ -348,6 +349,32 @@ class TestSingularities:
         tau, gamma = found[0]
         assert tau.theta == pytest.approx(math.pi, abs=1e-10)
         assert gamma.theta == pytest.approx(0.0, abs=1e-10)
+
+
+class TestSingularityCache:
+    def test_one_clustering_per_rif(self, monkeypatch):
+        calls = []
+        clustering = rif2d._torus_singularities
+
+        def counted(R):
+            calls.append(R)
+            return clustering(R)
+
+        monkeypatch.setattr(rif2d, "_torus_singularities", counted)
+        R = example_rif()
+        alpha = UnimodularConstant.from_nu(math.pi)
+        mu = rif_clark_measure(R, alpha)
+        assert rif2d._snap_exceptional(R, alpha)[1]
+        assert len(singularities(R)) == len(exceptional_values(R)) == len(mu.lines) == 1
+        assert line_constant(R, mu.lines[0].tau) == mu.lines[0].constant
+        assert calls == [R]
+
+    def test_singularities_take_no_radial_limit(self, monkeypatch):
+        def no_limit(*args):
+            raise AssertionError("radial limit taken")
+
+        monkeypatch.setattr(rif2d, "_radial_limit", no_limit)
+        assert len(singularities(example_rif())) == 1
 
 
 class TestExceptional:

@@ -30,6 +30,7 @@ from clark_measures.product2d import (
     product_branch_measure,
     product_clark_integrate,
 )
+from clark_measures import verify
 from clark_measures.torus_core import pairwise_sum, poisson_kernel
 from clark_measures.verify import (
     EMBED_BASE_REL,
@@ -90,8 +91,9 @@ class TestHerglotzRhs:
         assert value == pytest.approx(5.0 / 3.0, rel=1e-15)
 
     def test_rejects_non_interior(self):
-        with pytest.raises(ValueError):
-            herglotz_rhs(lambda z: 1.0 + 0j, UnimodularConstant.from_nu(0.0), (0j, 0j))
+        for value in (1.0 + 0j, complex(math.nan, 0.0), complex(0.0, math.inf)):
+            with pytest.raises(ValueError):
+                herglotz_rhs(lambda z: value, UnimodularConstant.from_nu(0.0), (0j, 0j))
 
     def test_two_sided_against_measure(self):
         # the quotient at an interior point equals the measure integral
@@ -230,6 +232,27 @@ class TestIntegrators:
         )
         for integrate, z in cases:
             with pytest.raises(ValueError):
+                integrate(z)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                     complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    def test_rejects_non_finite_points(self, bad, monkeypatch):
+        alpha = UnimodularConstant.from_nu(0.0)
+
+        class NoFiber:
+            def poisson_profile(self, axis, z):
+                raise AssertionError("fiber work before the point was checked")
+
+        monkeypatch.setattr(verify, "_product_fiber", lambda *args: NoFiber())
+        cases = (
+            (embed_integrator(embed_clark_nd(EXP, alpha, 3, K=50), GRID), (0.1, bad, 0.5)),
+            (measure_integrator(embed_clark2d(EXP, alpha, K=50), GRID), (bad, 0.5j)),
+            (measure_integrator(rif_clark_measure(example_rif(), alpha), GRID), (0.5, bad)),
+            (product_integrator(ProductInner(EXP, EXP), alpha, GRID, K=50), (bad, 0.5)),
+            (product_integrator(ProductInner(EXP, EXP), alpha, GRID, K=50), (0.5, bad)),
+        )
+        for integrate, z in cases:
+            with pytest.raises(ValueError, match="open polydisc"):
                 integrate(z)
 
     def test_product_integrator_is_a_function_of_the_point(self):
