@@ -25,8 +25,8 @@ from .torus_core import (
     TorusPoint,
     UnimodularConstant,
     integrate_measure2d,
-    max_undefined_nodes,
     pairwise_sum,
+    periodic_means,
 )
 
 __all__ = [
@@ -116,10 +116,12 @@ def embed_clark_nd(
 
 
 def _iterated_value(em: EmbeddedClarkND, f, inner_thetas, outer_thetas) -> tuple:
-    """Nested quadrature value and sup|f| over evaluated nodes.
+    """Nested quadrature value, its value on the halved grids, and sup|f|
+    over evaluated nodes.
 
     Coordinates z_1..z_{d-2} run over the outer grid, z_{d-1} over the inner
-    grid, and z_d = eta conj(z_1 ... z_{d-1}) per atom.
+    grid, and z_d = eta conj(z_1 ... z_{d-1}) per atom.  The halved grids
+    are the even nodes of both, so one pass gives both values.
     """
     d = em.dimension
     eta = em.base.points_array()[:, None]
@@ -128,12 +130,11 @@ def _iterated_value(em: EmbeddedClarkND, f, inner_thetas, outer_thetas) -> tuple
     n_inner = inner.shape[1]
     outer_axes = d - 2
     sup_f = 0.0
-    allowance = max_undefined_nodes(n_inner)
 
     mesh = np.meshgrid(*([np.exp(1j * outer_thetas)] * outer_axes), indexing="ij")
-    prefixes = np.stack([m.ravel() for m in mesh], axis=1) if outer_axes else np.ones((1, 0))
+    prefixes = np.stack([m.ravel() for m in mesh], axis=1)
 
-    node_means = np.empty(len(prefixes), dtype=complex)
+    node_means = np.empty((2, len(prefixes)), dtype=complex)
     for i, prefix in enumerate(prefixes):
         lead = 1.0 + 0.0j
         for c in prefix:
@@ -144,18 +145,16 @@ def _iterated_value(em: EmbeddedClarkND, f, inner_thetas, outer_thetas) -> tuple
         args.append(last)
         with np.errstate(all="ignore"):
             values = np.asarray(f(*args), dtype=complex)
-        finite = np.isfinite(values.real) & np.isfinite(values.imag)
+            # a node where f is undefined at any atom gets an undefined sum
+            atom_sums = pairwise_sum(values * weights, axis=0)
+        finite = np.isfinite(values)
         if finite.any():
             sup_f = max(sup_f, float(np.max(np.abs(values[finite]))))
-        atom_sums = pairwise_sum(np.where(finite, values, 0.0) * weights, axis=0)
-        node_bad = (~finite).any(axis=0)
-        if node_bad.sum() > allowance:
-            raise ValueError(
-                f"{int(node_bad.sum())} undefined inner nodes exceed the allowance {allowance}"
-            )
-        good = ~node_bad
-        node_means[i] = pairwise_sum(np.where(good, atom_sums, 0.0)) / max(int(good.sum()), 1)
-    return complex(pairwise_sum(node_means) / len(prefixes)), sup_f
+        node_means[:, i] = periodic_means(atom_sums)
+    full = node_means[0]
+    evens = node_means[1].reshape(mesh[0].shape)[(slice(None, None, 2),) * outer_axes].ravel()
+    return (complex(pairwise_sum(full) / len(full)),
+            complex(pairwise_sum(evens) / len(evens)), sup_f)
 
 
 def integrate_embed_nd(em: EmbeddedClarkND, f, grid: QuadratureGrid) -> IntegralResult:
@@ -163,7 +162,8 @@ def integrate_embed_nd(em: EmbeddedClarkND, f, grid: QuadratureGrid) -> Integral
 
     d = 2 delegates to the bidisc path.  For d >= 3 the outer coordinates use
     a grid of N/8 nodes each; the error bound combines a halved-grid
-    difference with the truncation tail times sup|f|.
+    difference with the truncation tail times sup|f|.  An inner node where f
+    is undefined at some atom counts as 0, by torus_core.periodic_means.
     """
     d = em.dimension
     if d > _MAX_DIMENSION:
@@ -173,7 +173,6 @@ def integrate_embed_nd(em: EmbeddedClarkND, f, grid: QuadratureGrid) -> Integral
     inner_thetas = grid.thetas()
     n_outer = max(grid.n_nodes // _OUTER_DIVISOR, 16)
     outer_thetas = 2.0 * np.pi * np.arange(n_outer) / n_outer
-    value, sup_f = _iterated_value(em, f, inner_thetas, outer_thetas)
-    value_half, _ = _iterated_value(em, f, inner_thetas[::2], outer_thetas[::2])
+    value, value_half, sup_f = _iterated_value(em, f, inner_thetas, outer_thetas)
     error = abs(value - value_half) + em.base.tail_bound * sup_f
     return IntegralResult(value=value, error_bound=error)

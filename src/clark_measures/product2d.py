@@ -39,6 +39,10 @@ Summing over all k in closed form instead would be the fiber factor's
 Herglotz identity, the very identity the Poisson check tests, so it stays a
 test oracle.
 
+Every outer or folded node mean goes through torus_core.periodic_means: a
+node whose sum is undefined (f not finite on its fiber) counts as 0, and
+more such nodes than it allows raise QuadratureError.
+
 product_clark_integrate builds a fiber per call; verify.product_integrator
 and verify.product_fourier_rp_check build one and reuse it for every
 point, every Fourier entry and the mass check.
@@ -81,8 +85,8 @@ from .torus_core import (
     QuadratureGrid,
     TorusPoint,
     UnimodularConstant,
-    max_undefined_nodes,
     pairwise_sum,
+    periodic_means,
     poisson_kernel,
 )
 
@@ -771,21 +775,11 @@ class _OuterFiber(_FiberProfiles):
         else:
             # per-node Richardson step in the truncation order (residual ~ 1/K^2)
             node_sums = full + (full - half) / 3.0
-        n = len(node_sums)
-        allowance = max_undefined_nodes(n)
-        good = np.isfinite(node_sums)
-        n_bad = n - int(good.sum())
-        if n_bad > allowance:
-            raise UnsupportedFunctionError(
-                f"{n_bad} skipped outer nodes exceed the allowance {allowance}"
-            )
-        dropped_bound = 0.0
+        value, half_grid = map(complex, periodic_means(node_sums))
+        step = 0.0
         if half is not None:
-            dropped_bound = float(np.mean(np.abs(full - half)[good])) / 3.0
-        clean = np.where(good, node_sums, 0.0)
-        value = complex(pairwise_sum(clean) / max(int(good.sum()), 1))
-        half_grid = complex(pairwise_sum(clean[::2]) / max(int(good[::2].sum()), 1))
-        return IntegralResult(value=value, error_bound=abs(value - half_grid) + dropped_bound)
+            step = float(np.mean(np.abs(full - half)[np.isfinite(node_sums)])) / 3.0
+        return IntegralResult(value=value, error_bound=abs(value - half_grid) + step)
 
 
 def _fiber_parts(profile):
@@ -809,12 +803,10 @@ def _widened(res: IntegralResult, moved: float) -> IntegralResult:
 def _folded_mean(full, half) -> IntegralResult:
     """Richardson-extrapolated mean of the full- and half-window sums over the
     folded s grid; the bound adds its grid-halving change and the step."""
-    n_s = len(full)
-    i_full = complex(pairwise_sum(full) / n_s)
-    i_half = complex(pairwise_sum(half) / n_s)
+    i_full, evens = map(complex, periodic_means(full))
+    i_half, evens_half = map(complex, periodic_means(half))
     value = i_full + (i_full - i_half) / 3.0
-    evens = complex(pairwise_sum(full[::2]) / (n_s // 2))
-    evens_r = evens + (evens - complex(pairwise_sum(half[::2]) / (n_s // 2))) / 3.0
+    evens_r = evens + (evens - evens_half) / 3.0
     error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
     return IntegralResult(value=value, error_bound=error)
 

@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 __all__ = [
+    "QuadratureError",
     "TorusPoint",
     "DiskPoint",
     "UnimodularConstant",
@@ -38,7 +39,7 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
 
 
-class TorusCoreError(Exception):
+class TorusCoreError(ValueError):
     """Base class for errors raised by this package."""
 
 
@@ -193,38 +194,27 @@ def pairwise_sum(values, axis: int = -1):
     return out[()] if out.ndim == 0 else out
 
 
-def max_undefined_nodes(n_nodes: int) -> int:
-    """Allowed count of undefined integrand nodes on an N-node grid.
+def periodic_means(values, component_index=None):
+    """Node mean and even-node (half-grid) mean over the last axis.
 
-    Undefined values only occur on measure-zero sets (boundary singularities),
-    so one node is always allowed even on small grids; beyond that the
-    allowance scales as N/1000.
-    """
-    return max(1, n_nodes // 1000)
-
-
-def _node_mean_with_estimate(values: np.ndarray, n_undef_allowed: int,
-                             component_index=None):
-    """Mean over the last axis with NaN policy and a halving error estimate.
-
-    Returns (mean, estimate, undefined_count). NaN/inf entries are dropped
-    (zero-substituted); more than the allowed number raises QuadratureError.
+    This is the one rule for undefined nodes on a periodic grid: a NaN or
+    infinite node counts as 0 in both means, which still divide by the full
+    node counts N and ceil(N/2).  Undefined values only occur on measure-zero
+    sets (boundary singularities), so max(1, N // 1000) such nodes are
+    allowed; more raise QuadratureError with the nodes' angles.
     """
     v = np.asarray(values)
     n = v.shape[-1]
     bad = ~np.isfinite(v)
-    n_bad = int(np.count_nonzero(bad))
-    if n_bad:
-        if n_bad > n_undef_allowed:
-            idx = np.argwhere(bad)
-            angles = tuple(TWO_PI * i[-1] / n for i in idx[:32])
+    if bad.any():
+        n_bad, allowance = int(np.count_nonzero(bad)), max(1, n // 1000)
+        if n_bad > allowance:
+            angles = tuple(TWO_PI * i[-1] / n for i in np.argwhere(bad)[:32])
             raise QuadratureError(
-                f"{n_bad} undefined nodes exceed the allowance {n_undef_allowed}",
+                f"{n_bad} undefined nodes exceed the allowance {allowance}",
                 undefined_angles=angles, component_index=component_index)
         v = np.where(bad, 0.0, v)
-    full = pairwise_sum(v, axis=-1) / n
-    half = pairwise_sum(v[..., 0::2], axis=-1) / max(1, (n + 1) // 2)
-    return full, np.abs(full - half), n_bad
+    return pairwise_sum(v, axis=-1) / n, pairwise_sum(v[..., 0::2], axis=-1) / ((n + 1) // 2)
 
 
 def periodic_quadrature(f, grid: QuadratureGrid) -> complex:
@@ -232,13 +222,13 @@ def periodic_quadrature(f, grid: QuadratureGrid) -> complex:
 
     `f` must be vectorized over a complex numpy array of unimodular points
     and signal undefined nodes with NaN (numpy propagates NaN naturally).
+    An undefined node counts as 0 under the periodic_means allowance.
     """
     with np.errstate(all="ignore"):
         vals = np.asarray(f(grid.points()))
     if vals.shape != (grid.n_nodes,):
         vals = np.broadcast_to(vals, (grid.n_nodes,)).astype(complex)
-    mean, _, _ = _node_mean_with_estimate(vals, max_undefined_nodes(grid.n_nodes))
-    return complex(mean)
+    return complex(periodic_means(vals)[0])
 
 
 def _as_complex(z) -> complex:
@@ -440,10 +430,9 @@ def _integrate_nodes(nodes, f, tail_bound: float) -> IntegralResult:
             sup_f = max(sup_f, float(np.max(np.abs(np.where(finite, fv, 0.0)))))
         if np.ndim(weight):
             fv, weight = fv * weight, 1.0
-        mean, est, _ = _node_mean_with_estimate(fv, max_undefined_nodes(len(fv)),
-                                                component_index=idx)
+        mean, half = periodic_means(fv, component_index=idx)
         values.append(weight * complex(mean))
-        estimates.append(weight * float(est))
+        estimates.append(weight * float(np.abs(mean - half)))
     total = complex(pairwise_sum(np.array(values, dtype=complex))) if values else 0j
     quad_est = float(pairwise_sum(np.array(estimates, dtype=float))) if estimates else 0.0
     return IntegralResult(value=total, error_bound=quad_est + tail_bound * sup_f)
@@ -454,8 +443,10 @@ def integrate_measure2d(mu: ClarkMeasure2D, f, grid: QuadratureGrid) -> Integral
 
     `f(z1, z2)` must accept equal-shaped complex arrays.  Each component is
     sampled on grid as it is reached, so one component's nodes are held at
-    a time.  The reported bound is the grid-halving estimate summed over
-    components plus tail_bound * (sup of |f| over all evaluated nodes).
+    a time.  A node where f or the weight is undefined counts as 0 under the
+    periodic_means allowance.  The reported bound is the grid-halving
+    estimate summed over components plus tail_bound * (sup of |f| over all
+    evaluated nodes).
     """
     return _integrate_nodes(_component_nodes(mu.curves, mu.lines, grid.points()),
                             f, mu.tail_bound)

@@ -42,8 +42,8 @@ from .torus_core import (
     UnimodularConstant,
     _component_nodes,
     _integrate_nodes,
-    max_undefined_nodes,
     pairwise_sum,
+    periodic_means,
     poisson_kernel,
 )
 
@@ -523,22 +523,15 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
 
     For a Clark measure of an inner function all of them vanish; each entry's
     tolerance is FOURIER_BASE_TOL plus the measure's tail bound plus the
-    grid-halving estimate of its own quadrature.
+    grid-halving estimate of its own quadrature.  A graph node where g or
+    the weight is undefined counts as 0, by torus_core.periodic_means.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    n = grid.n_nodes
     zeta = grid.points()
-    allowed = max_undefined_nodes(n)
-
     etas, weights, graphs = mu._antidiagonal_block
-    graph_data = []
-    for _, _, g, w in _component_nodes(graphs, (), zeta):
-        mask = np.isfinite(g) & np.isfinite(w)
-        if n - int(mask.sum()) > allowed:
-            raise ValueError("graph component undefined on too many nodes")
-        graph_data.append((g, w, mask))
+    graph_data = [(g, w) for _, _, g, w in _component_nodes(graphs, (), zeta)]
 
     moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
     moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
@@ -564,14 +557,11 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
             a = eta_moments[k2]
             val += a * moments[k2 - k1]
             val_half += a * moments_half[k2 - k1]
-        for g, w, mask in graph_data:
+        for g, w in graph_data:
             with np.errstate(all="ignore"):
-                nodes = w * zeta ** (-k1) * g ** (-k2)
-            clean = nodes[mask]
-            val += complex(pairwise_sum(clean)) / len(clean)
-            half_mask = mask[::2]
-            clean_half = nodes[::2][half_mask]
-            val_half += complex(pairwise_sum(clean_half)) / len(clean_half)
+                full, half = periodic_means(w * zeta ** (-k1) * g ** (-k2))
+            val += complex(full)
+            val_half += complex(half)
         for line in mu.lines:
             contrib = line.constant * line.tau.value ** (-k1)
             val += contrib * moments[-k2]

@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -539,6 +540,19 @@ class TestVerify:
         assert env["kind"] == "verification" and env["code"] == 3
         assert json.loads(out)["identity_residuals"][0]["relative_error"] == 1.0
 
+    def test_undefined_nodes_past_the_allowance_exit_2(self, capsys, tmp_path):
+        # singular points at tau = +-1 leave two undefined nodes on the
+        # graph, against an allowance of one
+        spec = tmp_path / "two_singular.json"
+        spec.write_text(json.dumps({"p1": [[4, 0], [0, 0], [-3, 0], [0, 0], [1, 0]],
+                                    "p2": [[-1, 0], [0, 0], [-1, 0]], "n": 4}))
+        code, out, err = run_cli(capsys, "verify", "--rif", str(spec),
+                                 "--alpha", "3.141592653589793", "--N", "256")
+        assert code == 2 and out == ""
+        env = error_envelope(err)
+        assert env["kind"] == "computation" and env["code"] == 2
+        assert "2 undefined nodes exceed the allowance 1" in env["message"]
+
     def test_report_file(self, capsys, specs, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(capsys, "verify", "--embed", specs["monomial1"],
@@ -612,6 +626,15 @@ class TestPlot:
         assert code == 0
         ids = {r[0] for r in csv_rows((tmp_path / "anti.csv").read_text())}
         assert ids == {f"alpha0:curve{i}" for i in range(11)}
+
+
+def test_readme_cli_lines_parse():
+    readme = Path(cli.__file__).resolve().parents[2] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("clark ")]
+    assert len(lines) == 5
+    for line in lines:
+        assert isinstance(cli.parse_args(shlex.split(line, comments=True)[1:]), CommandSpec)
 
 
 class TestModuleInvocation:

@@ -39,7 +39,7 @@ from clark_measures.product2d import (
     product_clark_integrate,
     product_map,
 )
-from clark_measures.torus_core import poisson_kernel
+from clark_measures.torus_core import QuadratureError, poisson_kernel
 from test_inner1d import exact_boundary_modulus
 
 EXP = InnerFunction1D(singular_atoms=((0.0, 1.0),))
@@ -414,15 +414,14 @@ class TestProductIntegrate:
             out = np.ones(np.broadcast(w1, w2).shape, dtype=complex)
             return np.where(np.real(w2) > 0, out, np.nan)
 
-        with pytest.raises(UnsupportedFunctionError):
+        with pytest.raises(QuadratureError):
             product_clark_integrate(P, UnimodularConstant.one(), poisoned, GRID, K=50)
 
-    def test_one_bad_node_is_dropped_with_a_finite_bound(self):
+    def test_one_bad_node_counts_as_zero_with_a_finite_bound(self):
         # f undefined at the outer node zeta = 1 only, within the allowance:
-        # the node leaves the mean and the Richardson term, not the result
+        # the node counts as 0, as if f were 0 on its fiber
         alpha = UnimodularConstant.one()
         psi = InnerFunction1D(monomial_power=2, blaschke_zeros=(0.3 - 0.2j,))
-        n = GRID.n_nodes
         for P, outer in ((ProductInner(BPAIR, EXP), 0), (ProductInner(EXP, BPAIR), 1),
                          (ProductInner(BPAIR, psi), 0)):
             def integrand(bad_value, outer=outer):
@@ -434,7 +433,7 @@ class TestProductIntegrate:
             res = product_clark_integrate(P, alpha, integrand(np.nan), GRID, K=50)
             zeroed = product_clark_integrate(P, alpha, integrand(0.0), GRID, K=50)
             assert np.isfinite(res.error_bound)
-            assert res.value == pytest.approx(zeroed.value * n / (n - 1), rel=1e-14)
+            assert res.value == zeroed.value
 
 
 EPS = np.finfo(float).eps
