@@ -13,9 +13,11 @@ Conventions: angles are radians everywhere, complex numbers are [re, im]
 pairs in JSON, CSV carries component_id,theta1,theta2,weight at 17
 significant digits, and the SVG is a plain polyline rendering on the
 square [0, 2pi)^2 with weight encoded as stroke opacity and one color
-class per alpha.  Each curve component is sampled once into float columns
-(theta1, theta2, weight), and the CSV, SVG and JSON are all formatted from
-those columns.  Exit codes: 0 ok, 1 schema error, 2 computation error,
+class per alpha.  Each curve component is sampled once into columns
+(theta1, theta2, weight) by its structure: grid angles as node indices, a
+constant as one float, anything else as a float array.  The CSV, SVG and
+JSON are all formatted from those columns, the grid's strings once per
+output and a constant's once per component.  Exit codes: 0 ok, 1 schema error, 2 computation error,
 3 verification failure; failures put a machine-readable JSON envelope on
 stderr.
 """
@@ -30,13 +32,14 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .clark1d import UnsupportedFunctionError, clark_measure1d
 from .embed import embed_clark2d, embed_clark_nd, embedding_map
 from .inner1d import InnerFunction1D, eval_inner
-from .product2d import ProductInner, product_branch_measure, product_map
+from .product2d import ProductInner, _product_fiber, product_branch_measure, product_map
 from .rif2d import (
     RIF_n1,
     RIFError,
@@ -46,7 +49,14 @@ from .rif2d import (
     rif_map,
     singularities,
 )
-from .torus_core import TWO_PI, Antidiagonal, ClarkMeasure2D, QuadratureGrid, UnimodularConstant
+from .torus_core import (
+    TWO_PI,
+    Antidiagonal,
+    ClarkMeasure2D,
+    QuadratureGrid,
+    UnimodularConstant,
+    _canonical_angles,
+)
 from .verify import (
     DEFAULT_SEED,
     EMBED_BASE_REL,
@@ -55,13 +65,13 @@ from .verify import (
     RIF_BASE_REL,
     SUPPORT_TOL,
     VerificationReport,
+    _fiber_fourier_entries,
+    _fiber_integrator,
     embed_integrator,
     fourier_rp_check,
     measure_integrator,
     poisson_identity_check,
     product_boundary_map,
-    product_fourier_rp_check,
-    product_integrator,
     rif_boundary_map,
     sample_test_points,
     support_inclusion_check,
@@ -206,38 +216,83 @@ def _emit_error(kind: str, code: int, message) -> None:
     sys.stderr.write(json.dumps(envelope, sort_keys=True) + "\n")
 
 
-def _measure_components(mu: ClarkMeasure2D, n: int, prefix: str = ""):
-    """Sampled curve data: (component_id, theta1, theta2, weight), one float
-    array per column.
+class _Component(NamedTuple):
+    """One component's curve data on a sampling grid of angles.
 
-    Graph nodes where the rule is undefined are dropped; antidiagonal
-    second coordinates are computed in angle arithmetic so the emitted
-    thetas are exact grid values.
+    Its rows are the grid nodes `nodes`.  A column (theta1, theta2, weight)
+    is None for the grid angle at those nodes, a float for a constant, or
+    a float array with one value per row.  The emitters format a grid
+    column from strings made once per call, and a constant once.
     """
-    thetas = TWO_PI * np.arange(n) / n
+
+    cid: str
+    nodes: np.ndarray
+    theta1: object
+    theta2: object
+    weight: object
+
+
+def _grid_angles(n: int) -> np.ndarray:
+    return TWO_PI * np.arange(n) / n
+
+
+def _measure_components(mu: ClarkMeasure2D, thetas: np.ndarray, prefix: str = ""):
+    """The _Component of each curve, then of each line, sampled at thetas.
+
+    An antidiagonal and a line take every node, and their constant weight
+    (and a line's theta1) as one float; a graph takes the nodes where its
+    rule and weight are defined.  Antidiagonal second coordinates are
+    computed in angle arithmetic so the emitted thetas are exact grid values.
+    """
     zeta = np.exp(1j * thetas)
+    every = np.arange(len(thetas))
     out = []
     for i, comp in enumerate(mu.curves):
         cid = f"{prefix}curve{i}"
         if isinstance(comp.kind, Antidiagonal):
-            t2 = np.mod(comp.kind.eta.theta - thetas, TWO_PI)
-            out.append((cid, thetas, t2, np.full(n, comp.weight)))
+            t2 = _canonical_angles(comp.kind.eta.theta - thetas)
+            out.append(_Component(cid, every, None, t2, comp.weight))
         else:
             z2 = comp.second_coordinate(zeta)
             w = comp.weight_values(zeta)
             ok = np.isfinite(z2) & np.isfinite(w)
-            out.append((cid, thetas[ok], np.mod(np.angle(z2[ok]), TWO_PI), w[ok]))
+            t2 = _canonical_angles(np.angle(z2[ok]))
+            out.append(_Component(cid, np.flatnonzero(ok), None, t2, w[ok]))
     for i, line in enumerate(mu.lines):
-        t1 = np.full(n, np.mod(line.tau.theta, TWO_PI))
-        out.append((f"{prefix}line{i}", t1, thetas, np.full(n, float(line.constant))))
+        cid = f"{prefix}line{i}"
+        out.append(_Component(cid, every, line.tau.theta, None, float(line.constant)))
     return out
 
 
-def _csv_text(components) -> str:
+def _columns(comp: _Component, thetas: np.ndarray) -> tuple:
+    """(theta1, theta2, weight) of comp as float arrays."""
+
+    def values(column):
+        if column is None:
+            return thetas[comp.nodes]
+        return np.full(len(comp.nodes), column) if np.ndim(column) == 0 else column
+
+    return tuple(values(column) for column in comp[2:])
+
+
+def _column_text(column, nodes, grid_text, spec: str) -> list:
+    """One string per row: the grid's strings at nodes, one constant's
+    string repeated, or each value formatted by spec."""
+    if column is None:
+        if len(nodes) == len(grid_text):
+            return grid_text
+        return [grid_text[j] for j in nodes.tolist()]
+    if np.ndim(column) == 0:
+        return [format(column, spec)] * len(nodes)
+    return [format(v, spec) for v in column.tolist()]
+
+
+def _csv_text(thetas: np.ndarray, components) -> str:
+    grid = [format(v, ".17g") for v in thetas.tolist()]
     rows = ["component_id,theta1,theta2,weight"]
-    for cid, *columns in components:
-        text = ([format(v, ".17g") for v in column.tolist()] for column in columns)
-        rows.extend(f"{cid},{t1},{t2},{w}" for t1, t2, w in zip(*text))
+    for comp in components:
+        t1, t2, w = (_column_text(c, comp.nodes, grid, ".17g") for c in comp[2:])
+        rows.extend(f"{comp.cid},{a},{b},{c}" for a, b, c in zip(t1, t2, w))
     return "\n".join(rows) + "\n"
 
 
@@ -247,23 +302,27 @@ def _svg_runs(t1, t2, opacity):
     A run ends where either angle wraps, and within a wrap-free stretch
     where the quantized opacity changes; such a run repeats the joint
     sample so the rendered curve stays connected.  Single-sample runs are
-    dropped.
+    dropped.  opacity is one string for a constant weight, else an array
+    of one string per sample.
     """
     wraps = np.flatnonzero((np.abs(np.diff(t1)) > math.pi) | (np.abs(np.diff(t2)) > math.pi)) + 1
-    steps = np.flatnonzero(opacity[1:] != opacity[:-1]) + 1
+    constant = isinstance(opacity, str)
+    steps = wraps[:0] if constant else np.flatnonzero(opacity[1:] != opacity[:-1]) + 1
     ends = set(wraps.tolist()) | {len(t1)}
     runs, start = [], 0
     for cut in np.union1d(wraps, steps).tolist() + [len(t1)]:
         stop = cut if cut in ends else cut + 1
         if stop - start >= 2:
-            runs.append((opacity[start], start, stop))
+            runs.append((opacity if constant else opacity[start], start, stop))
         start = cut
     return runs
 
 
-def _svg_text(groups) -> str:
+def _svg_text(thetas: np.ndarray, groups) -> str:
     """Polyline SVG on [0, 2pi)^2; groups are (css_class, color, components)."""
     size = TWO_PI * _SVG_SCALE
+    grid_x = [f"{x:.2f}" for x in (thetas * _SVG_SCALE).tolist()]
+    grid_y = [f"{y:.2f}" for y in ((TWO_PI - thetas) * _SVG_SCALE).tolist()]
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
@@ -273,14 +332,22 @@ def _svg_text(groups) -> str:
     ]
     for css, color, components in groups:
         out.append(f'<g class="{css}" fill="none" stroke="{color}" stroke-width="1.2">')
-        for cid, t1, t2, w in components:
-            vertices = [f"{x:.2f},{y:.2f}" for x, y in
-                        zip((t1 * _SVG_SCALE).tolist(), ((TWO_PI - t2) * _SVG_SCALE).tolist())]
+        for comp in components:
+            t1, t2, _ = _columns(comp, thetas)
+            xs = _column_text(None if comp.theta1 is None else comp.theta1 * _SVG_SCALE,
+                              comp.nodes, grid_x, ".2f")
+            ys = _column_text(None if comp.theta2 is None else (TWO_PI - comp.theta2) * _SVG_SCALE,
+                              comp.nodes, grid_y, ".2f")
+            vertices = [f"{x},{y}" for x, y in zip(xs, ys)]
             # + 0.0 turns a clipped -0.0 into 0.0
-            opacity = np.array([format(v, ".3f") for v in (np.clip(w, 0.0, 1.0) + 0.0).tolist()])
+            opacity = np.clip(comp.weight, 0.0, 1.0) + 0.0
+            if np.ndim(opacity) == 0:
+                opacity = format(opacity, ".3f")
+            else:
+                opacity = np.array([format(v, ".3f") for v in opacity.tolist()])
             for op, start, stop in _svg_runs(t1, t2, opacity):
                 out.append(
-                    f'<polyline data-component="{cid}" stroke-opacity="{op}" '
+                    f'<polyline data-component="{comp.cid}" stroke-opacity="{op}" '
                     f'points="{" ".join(vertices[start:stop])}"/>'
                 )
         out.append("</g>")
@@ -289,16 +356,18 @@ def _svg_text(groups) -> str:
 
 
 def _emit_measure(mu: ClarkMeasure2D, spec: CommandSpec, extra: dict = None) -> int:
-    components = _measure_components(mu, spec.N)
+    thetas = _grid_angles(spec.N)
+    components = _measure_components(mu, thetas)
     if spec.format == "csv":
-        _emit(_csv_text(components), spec.output)
+        _emit(_csv_text(thetas, components), spec.output)
     elif spec.format == "svg":
-        _emit(_svg_text([("alpha0", _PALETTE[0], components)]), spec.output)
+        _emit(_svg_text(thetas, [("alpha0", _PALETTE[0], components)]), spec.output)
     else:
         payload = {
             "components": [
-                {"component_id": cid, "points": np.stack(columns, axis=1).tolist()}
-                for cid, *columns in components
+                {"component_id": comp.cid,
+                 "points": np.stack(_columns(comp, thetas), axis=1).tolist()}
+                for comp in components
             ],
             "tail_bound": mu.tail_bound,
         }
@@ -401,10 +470,11 @@ def _cmd_verify(spec: CommandSpec) -> int:
         rule = product_map(P)
         mu = None
         # Branch graphs of a singular fiber defeat grid quadrature near the
-        # fiber atom; the product path integrates the monomials instead.
-        fourier = _compute(lambda: product_fourier_rp_check(
-            P, alpha, _FOURIER_KMAX, grid, K=spec.K))
-        integrate = product_integrator(P, alpha, grid, K=spec.K)
+        # fiber atom; the product path integrates the monomials instead, on
+        # the one fiber the identity points use.
+        fiber = _compute(lambda: _product_fiber(P, alpha, grid, spec.K))
+        fourier = _compute(lambda: _fiber_fourier_entries(fiber, _FOURIER_KMAX))
+        integrate = _fiber_integrator(fiber)
         base_rel, dim, count = PRODUCT_BASE_REL, 2, 100
         window = min(_SUPPORT_WINDOW_CAP, spec.K)
         branches = None
@@ -467,17 +537,18 @@ def _cmd_plot(spec: CommandSpec) -> int:
         phi = _load_inner(spec.input)
         build = lambda alpha: embed_clark2d(phi, alpha, K=spec.K)
 
+    thetas = _grid_angles(spec.N)
     groups, flat = [], []
     for j, nu in enumerate(spec.alpha_list):
         mu = _compute(lambda: build(_alpha_of(nu)))
-        components = _measure_components(mu, spec.N, prefix=f"alpha{j}:")
+        components = _measure_components(mu, thetas, prefix=f"alpha{j}:")
         groups.append((f"alpha{j}", _PALETTE[j % len(_PALETTE)], components))
         flat.extend(components)
 
     base = spec.output if spec.output is not None else Path(spec.input).stem + "_levels"
     csv_path, svg_path = f"{base}.csv", f"{base}.svg"
-    Path(csv_path).write_text(_csv_text(flat), encoding="utf-8")
-    Path(svg_path).write_text(_svg_text(groups), encoding="utf-8")
+    Path(csv_path).write_text(_csv_text(thetas, flat), encoding="utf-8")
+    Path(svg_path).write_text(_svg_text(thetas, groups), encoding="utf-8")
     sys.stdout.write(_json_text({"csv": csv_path, "svg": svg_path}))
     return 0
 

@@ -10,6 +10,7 @@ measure also carries vertical Lebesgue lines.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -443,19 +444,32 @@ def _radial_limit(R: RIF_n1, z1: complex, z2: complex) -> complex:
     raise RIFError("radial limit did not converge")
 
 
+def _boundary_values(R: RIF_n1, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    """phi* at the torus points (z1, z2) of two equal-shaped arrays.
+
+    The quotient of the numerator and denominator arrays, except at nodes
+    where |den| <= 1e-10 scale: there the radial limit is extrapolated, and
+    it is NaN where that limit does not converge.
+    """
+    scale = max(float(np.max(np.abs(np.array(p.coefficients)))) for p in (R.p1, R.p2))
+    den = R.denominator(z1, z2)
+    with np.errstate(all="ignore"):
+        values = R.numerator(z1, z2) / den
+    for j in np.flatnonzero(np.abs(den) <= 1e-10 * scale):
+        try:
+            values[j] = _radial_limit(R, complex(z1[j]), complex(z2[j]))
+        except RIFError:
+            values[j] = np.nan
+    return values
+
+
 def rif_boundary_value(R: RIF_n1, zeta) -> complex:
     """phi*(zeta) on the torus; radial extrapolation at singular points."""
-    t1, t2 = zeta
-    z1 = t1.value if isinstance(t1, TorusPoint) else complex(t1)
-    z2 = t2.value if isinstance(t2, TorusPoint) else complex(t2)
-    den = R.denominator(z1, z2)
-    scale = max(
-        float(np.max(np.abs(np.array(R.p1.coefficients)))),
-        float(np.max(np.abs(np.array(R.p2.coefficients)))),
-    )
-    if abs(den) > 1e-10 * scale:
-        return complex(R.numerator(z1, z2) / den)
-    return _radial_limit(R, z1, z2)
+    z1, z2 = (np.array([t.value if isinstance(t, TorusPoint) else complex(t)]) for t in zeta)
+    value = complex(_boundary_values(R, z1, z2)[0])
+    if not cmath.isfinite(value):
+        raise RIFError("radial limit did not converge")
+    return value
 
 
 def _distinct_levels(limits):

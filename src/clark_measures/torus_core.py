@@ -65,6 +65,14 @@ def canonical_angle(theta: float) -> float:
     return t
 
 
+def _canonical_angles(t: np.ndarray) -> np.ndarray:
+    """canonical_angle of each entry of a float array: np.mod rounds a tiny
+    negative angle up to 2pi itself, which is taken as 0."""
+    t = np.mod(t, TWO_PI)
+    t[t == TWO_PI] = 0.0
+    return t
+
+
 def circle_distance(a: float, b: float) -> float:
     """Shortest angular distance between two angles."""
     d = abs(canonical_angle(a) - canonical_angle(b))

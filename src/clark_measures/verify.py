@@ -10,10 +10,16 @@ The Poisson integrals are evaluated independently of the construction paths.
 Embedded measures, in any dimension, live on the subtori
 {zeta_1 ... zeta_d = eta} and are integrated in closed form by the Poisson
 kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
-exactly P_{z1 ... zd}(eta).  Graph and line components run the one node
-loop of integrate_measure2d over nodes sampled once per integrator.  The
-generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
-are the independent oracle the tests pin the closed form against.
+exactly P_{z1 ... zd}(eta).  A line {zeta_1 = tau} with constant c
+contributes c P_{z1}(tau), exactly, since P_{z2} has mean 1 on the circle.
+Graph components run the one node loop of integrate_measure2d over nodes
+sampled once per integrator.  The generic quadrature integrators
+(integrate_measure2d, integrate_embed_nd) are the independent oracle the
+tests pin the closed forms against.
+
+The support check maps all of its samples at once, through the array form
+of a boundary map (embedding_boundary_map, product_boundary_map,
+rif_boundary_map); calling a map on one point is the one-point case.
 
 A VerificationReport holds four kinds of section, each a frozen dataclass.
 Its JSON form is written from the dataclass fields (complex values as
@@ -23,15 +29,16 @@ field name (_FIELD_VALUES; a field not listed there is a float).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .embed import EmbeddedClarkND
-from .inner1d import InnerFunction1D, Unimodular, boundary_value
+from .inner1d import InnerFunction1D, boundary_values_array
 from .product2d import PRODUCT_TRUNCATION, ProductInner, _product_fiber
-from .rif2d import RIF_n1, RIFError, rif_boundary_value
+from .rif2d import RIF_n1, _boundary_values
 from .torus_core import (
     TWO_PI,
     Antidiagonal,
@@ -40,6 +47,7 @@ from .torus_core import (
     QuadratureGrid,
     TorusPoint,
     UnimodularConstant,
+    _canonical_angles,
     _component_nodes,
     _integrate_nodes,
     pairwise_sum,
@@ -316,8 +324,10 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     """z -> Poisson integral of mu with an error bound.
 
     Antidiagonal components are integrated in closed form by the kernel
-    semigroup at w = z1 z2 (see _antidiagonal_poisson).  Graph and line
-    components run one node loop, the generic quadrature of
+    semigroup at w = z1 z2 (see _antidiagonal_poisson).  A line {zeta_1 =
+    tau} carrying c times Lebesgue measure contributes c P_{z1}(tau) exactly,
+    since the mean of P_{z2} over the circle is 1, so it adds nothing to the
+    bound.  Graph components run one node loop, the generic quadrature of
     integrate_measure2d, over nodes and weights sampled on grid once here,
     so a point costs one kernel pass per coordinate.  The tail term is
     tail_bound times the sup of the integrand over the omitted mass:
@@ -327,14 +337,16 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     etas, weights, graphs = mu._antidiagonal_block
     antidiagonal = _antidiagonal_poisson(etas, weights)
-    nodes = tuple(_component_nodes(graphs, mu.lines, grid.points()))
+    nodes = tuple(_component_nodes(graphs, (), grid.points()))
+    taus = np.array([line.tau.value for line in mu.lines], dtype=complex)
+    constants = np.array([line.constant for line in mu.lines], dtype=float)
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
         value = antidiagonal(z1 * z2) if len(etas) else 0.0
         error = 0.0
         if mu.tail_bound:
-            if not nodes:
+            if not (nodes or mu.lines):
                 error += mu.tail_bound * _poisson_sup(z1 * z2)
             else:
                 error += mu.tail_bound * _poisson_sup(z1) * _poisson_sup(z2)
@@ -345,6 +357,8 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
             res = _integrate_nodes(nodes, f, 0.0)
             value += float(np.real(res.value))
             error += res.error_bound
+        if len(taus):
+            value += float(pairwise_sum(constants * poisson_kernel(z1, taus)))
         return IntegralResult(value, error)
 
     return integrate
@@ -397,7 +411,11 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
     points were evaluated before it.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    fiber = _product_fiber(P, _as_alpha(alpha), grid, K)
+    return _fiber_integrator(_product_fiber(P, _as_alpha(alpha), grid, K))
+
+
+def _fiber_integrator(fiber):
+    """z -> the Poisson integral of a built product fiber at z."""
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
@@ -481,41 +499,38 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha, exemptions=
     level set: |Phi*(s) - alpha| <= SUPPORT_TOL, unless s is within
     SUPPORT_TOL of a declared singular/accumulation point.
 
-    boundary_map maps a torus point pair to Phi* there, or None where the
-    nontangential value does not exist.
+    boundary_map has an array form, boundary_map.array(z1, z2), mapping
+    coordinate arrays to Phi* there, NaN where the nontangential value does
+    not exist, and raising ValueError for a point more than 1e-6 off the
+    circle (the maps of this module are such).  Every component's samples
+    are stacked and mapped in one call, and the exemptions tested as arrays.
     """
     alpha_value = _as_alpha(alpha).alpha
     zeta = np.exp(1j * np.mod(0.37 + TWO_PI * np.arange(16) / 16, TWO_PI))
-    exempt_points = [
-        tuple(p.value if isinstance(p, TorusPoint) else complex(p) for p in pair)
-        for pair in exemptions
-    ]
-
-    def is_exempt(point):
-        return any(
-            max(abs(point[0] - e[0]), abs(point[1] - e[1])) <= SUPPORT_TOL
-            for e in exempt_points
-        )
-
-    def record(point):
-        value = boundary_map(point)
-        deviation = None if value is None else float(abs(complex(value) - alpha_value))
-        samples.append(
-            SupportSample(point=point, deviation=deviation,
-                          exempt=is_exempt(point), tolerance=SUPPORT_TOL)
-        )
-
-    samples = []
+    firsts, seconds = [], []
     for comp in mu.curves:
         if isinstance(comp.kind, Antidiagonal) and comp.weight == 0.0:
             continue
-        for z1, z2 in zip(zeta, comp.second_coordinate(zeta)):
-            if np.isfinite(z2.real) and np.isfinite(z2.imag):
-                record((complex(z1), complex(z2)))
+        z2 = comp.second_coordinate(zeta)
+        defined = np.isfinite(z2)
+        firsts.append(zeta[defined])
+        seconds.append(z2[defined])
     for line in mu.lines:
-        for z2 in zeta:
-            record((line.tau.value, complex(z2)))
-    return tuple(samples)
+        firsts.append(np.full(len(zeta), line.tau.value))
+        seconds.append(zeta)
+    if not firsts:
+        return ()
+    z1, z2 = np.concatenate(firsts), np.concatenate(seconds)
+    deviation = np.abs(boundary_map.array(z1, z2) - alpha_value)
+    exempt = np.zeros(len(z1), dtype=bool)
+    for pair in exemptions:
+        e1, e2 = (p.value if isinstance(p, TorusPoint) else complex(p) for p in pair)
+        exempt |= np.maximum(np.abs(z1 - e1), np.abs(z2 - e2)) <= SUPPORT_TOL
+    return tuple(
+        SupportSample(point=(s1, s2), deviation=dev if math.isfinite(dev) else None,
+                      exempt=ex, tolerance=SUPPORT_TOL)
+        for s1, s2, dev, ex in zip(z1.tolist(), z2.tolist(), deviation.tolist(), exempt.tolist())
+    )
 
 
 def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None):
@@ -593,9 +608,12 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
-    alpha = _as_alpha(alpha)
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    fiber = _product_fiber(P, alpha, grid, K)
+    return _fiber_fourier_entries(_product_fiber(P, _as_alpha(alpha), grid, K), kmax)
+
+
+def _fiber_fourier_entries(fiber, kmax: int) -> tuple:
+    """The mixed-sign Fourier entries, |k1|, |k2| <= kmax, of a built product fiber."""
     exponents = [m for m in range(-kmax, kmax + 1) if m]
     profiles = [fiber.moment_profiles(axis, kmax) for axis in (0, 1)]
     entries = []
@@ -618,36 +636,55 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
 # boundary maps for the support check
 
 
+class _BoundaryMap:
+    """Phi* on the torus in array form, with its one-point case as a call.
+
+    array(z1, z2, ...) maps equal-shaped coordinate arrays to the values of
+    Phi*, NaN where the nontangential value does not exist; a coordinate
+    more than 1e-6 off the circle raises ValueError.  rule(point) is the
+    one-point case: the value, or None where it is undefined.
+    """
+
+    def __init__(self, array):
+        self.array = array
+
+    def __call__(self, point):
+        coords = (np.array([c.value if isinstance(c, TorusPoint) else complex(c)]) for c in point)
+        value = complex(self.array(*coords)[0])
+        return value if cmath.isfinite(value) else None
+
+
+def _circle_angles(z: np.ndarray) -> np.ndarray:
+    """Angles in [0, 2pi) of points on the circle, reduced as
+    TorusPoint.from_complex(w, tol=1e-6) reduces them (near a singular atom
+    the boundary phase is steep enough to tell), and as there, a point more
+    than 1e-6 off the circle raises ValueError."""
+    off = np.abs(np.abs(z) - 1.0) > 1e-6
+    if off.any():
+        w = complex(z[off][0])
+        raise ValueError(f"not a unimodular value: |{w}| = {abs(w)}")
+    return _canonical_angles(np.angle(z))
+
+
 def embedding_boundary_map(phi: InnerFunction1D, d: int = 2):
-    """(s_1, ..., s_d) -> phi*(s_1 ... s_d), None where undefined."""
-
-    def rule(point):
-        w = 1.0 + 0.0j
-        for c in point:
-            w *= complex(c)
-        bv = boundary_value(phi, TorusPoint.from_complex(w, tol=1e-6))
-        return bv.value if isinstance(bv, Unimodular) else None
-
-    return rule
+    """(s_1, ..., s_d) -> phi*(s_1 ... s_d), NaN (one point: None) where undefined."""
+    return _BoundaryMap(
+        lambda *coords: boundary_values_array(phi, _circle_angles(math.prod(coords))))
 
 
 def product_boundary_map(P: ProductInner):
-    def rule(point):
-        z1, z2 = point
-        b1 = boundary_value(P.phi, TorusPoint.from_complex(complex(z1), tol=1e-6))
-        b2 = boundary_value(P.psi, TorusPoint.from_complex(complex(z2), tol=1e-6))
-        if isinstance(b1, Unimodular) and isinstance(b2, Unimodular):
-            return b1.value * b2.value
-        return None
-
-    return rule
+    """(s_1, s_2) -> phi*(s_1) psi*(s_2), NaN (one point: None) where undefined."""
+    return _BoundaryMap(lambda z1, z2: boundary_values_array(P.phi, _circle_angles(z1))
+                        * boundary_values_array(P.psi, _circle_angles(z2)))
 
 
 def rif_boundary_map(R: RIF_n1):
-    def rule(point):
-        try:
-            return rif_boundary_value(R, point)
-        except RIFError:
-            return None
+    """(s_1, s_2) -> phi*(s_1, s_2), the radial limit at a singular point,
+    NaN (one point: None) where that limit does not converge."""
 
-    return rule
+    def array(z1, z2):
+        for z in (z1, z2):
+            _circle_angles(z)
+        return _boundary_values(R, z1, z2)
+
+    return _BoundaryMap(array)

@@ -276,6 +276,16 @@ class TestEmission:
             assert cid == "curve0" and w == 1.0
             assert t2 == pytest.approx((-t1) % TWO_PI, abs=1e-12)
 
+    def test_emitted_angles_stay_below_two_pi(self, capsys, specs):
+        # at node pi the antidiagonal's theta2, eta - pi, is -4e-16, which
+        # np.mod rounds up to 2pi itself; it is emitted as 0
+        code, out, _ = run_cli(capsys, "embed", "--input", specs["monomial1"],
+                               "--alpha", "3.1415926535897927", "--format", "csv", "--N", "256")
+        assert code == 0
+        rows = csv_rows(out)
+        assert all(0.0 <= t < TWO_PI for _, t1, t2, _ in rows for t in (t1, t2))
+        assert "curve0,3.1415926535897931,0,1" in out.splitlines()
+
     def test_csv_bytes_are_reproducible(self, capsys, specs):
         args = ("embed", "--input", specs["exp"], "--alpha", "0.5",
                 "--format", "csv", "--N", "256", "--K", "5")
@@ -483,6 +493,102 @@ class TestEmissionBytes:
             "tail_bound": 0.125,
         }
         assert self.emitted("json", tmp_path) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reference_components(mu, n):
+    """Per-row float columns (cid, theta1, theta2, weight) of every component,
+    sampled as plain arrays."""
+    thetas = TWO_PI * np.arange(n) / n
+    zeta = np.exp(1j * thetas)
+    out = []
+    for i, comp in enumerate(mu.curves):
+        if isinstance(comp.kind, Antidiagonal):
+            t2 = np.mod(comp.kind.eta.theta - thetas, TWO_PI)
+            out.append((f"curve{i}", thetas, t2, np.full(n, comp.weight)))
+        else:
+            z2 = comp.second_coordinate(zeta)
+            w = comp.weight_values(zeta)
+            ok = np.isfinite(z2) & np.isfinite(w)
+            out.append((f"curve{i}", thetas[ok], np.mod(np.angle(z2[ok]), TWO_PI), w[ok]))
+    for i, line in enumerate(mu.lines):
+        t1 = np.full(n, np.mod(line.tau.theta, TWO_PI))
+        out.append((f"line{i}", t1, thetas, np.full(n, float(line.constant))))
+    return out
+
+
+def _reference_csv(components):
+    rows = ["component_id,theta1,theta2,weight"]
+    for cid, *columns in components:
+        text = ([format(v, ".17g") for v in column.tolist()] for column in columns)
+        rows.extend(f"{cid},{t1},{t2},{w}" for t1, t2, w in zip(*text))
+    return "\n".join(rows) + "\n"
+
+
+def _reference_svg(components):
+    """The SVG of one alpha group, every vertex and opacity formatted per row."""
+    size = TWO_PI * 100.0
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        f'viewBox="-6 -6 {size + 12:.2f} {size + 12:.2f}">',
+        f'<rect x="0" y="0" width="{size:.2f}" height="{size:.2f}" '
+        'fill="none" stroke="#bbbbbb" stroke-width="1"/>',
+        '<g class="alpha0" fill="none" stroke="#000000" stroke-width="1.2">',
+    ]
+    for cid, t1, t2, w in components:
+        vertices = [f"{x:.2f},{y:.2f}" for x, y in
+                    zip((t1 * 100.0).tolist(), ((TWO_PI - t2) * 100.0).tolist())]
+        opacity = np.array([format(v, ".3f") for v in (np.clip(w, 0.0, 1.0) + 0.0).tolist()])
+        wraps = np.flatnonzero((np.abs(np.diff(t1)) > math.pi)
+                               | (np.abs(np.diff(t2)) > math.pi)) + 1
+        steps = np.flatnonzero(opacity[1:] != opacity[:-1]) + 1
+        ends = set(wraps.tolist()) | {len(t1)}
+        start = 0
+        for cut in np.union1d(wraps, steps).tolist() + [len(t1)]:
+            stop = cut if cut in ends else cut + 1
+            if stop - start >= 2:
+                out.append(f'<polyline data-component="{cid}" stroke-opacity="{opacity[start]}" '
+                           f'points="{" ".join(vertices[start:stop])}"/>')
+            start = cut
+    out += ["</g>", "</svg>"]
+    return "\n".join(out) + "\n"
+
+
+class TestEmissionByStructure:
+    """Columns formatted once per grid or constant give the bytes of
+    formatting every row."""
+
+    @staticmethod
+    def measures():
+        from clark_measures import embed_clark2d, rif_clark_measure
+        from clark_measures.inner1d import InnerFunction1D
+        from clark_measures.product2d import ProductInner, product_branch_measure
+        from clark_measures.rif2d import Poly1, RIF_n1
+        from clark_measures.torus_core import UnimodularConstant
+
+        exp = InnerFunction1D.from_json_dict(EXP_SPEC)
+        pair = ProductInner(exp, InnerFunction1D.from_json_dict(BPAIR_SPEC))
+        rif = RIF_n1(p1=Poly1((4, -3, 1)), p2=Poly1((-1, -1)), n=2)
+        return {
+            "antidiagonals": embed_clark2d(exp, UnimodularConstant.from_nu(0.5), K=6),
+            "branches": product_branch_measure(pair, UnimodularConstant.from_nu(0.785398)),
+            "rif_line": rif_clark_measure(rif, UnimodularConstant.from_nu(math.pi)),
+        }
+
+    @pytest.mark.parametrize("name", ["antidiagonals", "branches", "rif_line"])
+    def test_matches_per_row_formatting(self, name):
+        mu = self.measures()[name]
+        n = 256
+        thetas = cli._grid_angles(n)
+        components = cli._measure_components(mu, thetas)
+        reference = _reference_components(mu, n)
+        if name == "branches":
+            assert any(len(comp.nodes) < n for comp in components)  # dropped nodes
+        if name == "rif_line":
+            assert len(mu.lines) == 1
+        assert cli._csv_text(thetas, components) == _reference_csv(reference)
+        assert cli._svg_text(thetas, [("alpha0", "#000000", components)]) == \
+            _reference_svg(reference)
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 """Tests for the verification oracle suite."""
 
+import cmath
 import json
 import math
 
@@ -30,7 +31,9 @@ from clark_measures.product2d import (
     product_branch_measure,
     product_clark_integrate,
 )
-from clark_measures import verify
+from clark_measures import rif2d, verify
+from clark_measures.inner1d import Unimodular, boundary_value
+from clark_measures.rif2d import singularities
 from clark_measures.torus_core import pairwise_sum, poisson_kernel
 from clark_measures.verify import (
     EMBED_BASE_REL,
@@ -161,33 +164,42 @@ class TestIntegrators:
                 assert integrate((z1, z2)).value == expected
 
     def test_cached_nodes_match_generic_quadrature(self):
-        # measure_integrator samples graph and line nodes once; every point
-        # must still give the bits of integrate_measure2d on the same measure
+        # measure_integrator samples graph nodes once; every point must
+        # still give the bits of integrate_measure2d on the same measure,
+        # and the same bits whatever points came before.  A line is added in
+        # closed form, so with a line the two agree to rounding and the
+        # closed form's bound is no larger than the node quadrature's.
         points = [(0j, 0j), *sample_test_points(2, 8)]
 
         def kernels(z1, z2):
             return lambda w1, w2: poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
 
-        def run(mu, grid, compare_bounds):
+        def run(mu, grid, compare):
             integrate = measure_integrator(mu, grid)
             forwards = [integrate(z) for z in points]
             backwards = [integrate(z) for z in reversed(points)][::-1]
             fresh = [measure_integrator(mu, grid)(z) for z in points]
             for z, *results in zip(points, forwards, backwards, fresh):
+                assert results[1:] == results[:-1]
                 generic = integrate_measure2d(mu, kernels(*z), grid)
-                for res in results:
+                res = results[0]
+                if compare == "bits":
                     assert res.value == generic.value.real
-                    if compare_bounds:
-                        assert res.error_bound == generic.error_bound
+                    assert res.error_bound == generic.error_bound
+                elif compare == "closed-form lines":
+                    assert res.value == pytest.approx(generic.value.real, rel=2e-15, abs=0.0)
+                    assert res.error_bound <= generic.error_bound
+                else:
+                    assert res.value == generic.value.real
 
         for nu in (0.0, math.pi):  # pi is exceptional: the measure has a line
             mu = rif_clark_measure(example_rif(), UnimodularConstant.from_nu(nu))
             assert len(mu.lines) == (1 if nu else 0)
-            run(mu, GRID, compare_bounds=True)
+            run(mu, GRID, "closed-form lines" if nu else "bits")
         # the branch measure's tail term differs by design; values still agree
         mu = product_branch_measure(ProductInner(EXP, EXP), UnimodularConstant.one(), K=8)
         assert mu.tail_bound > 0
-        run(mu, GRID, compare_bounds=False)
+        run(mu, GRID, "values")
 
     def test_nd_fast_path_matches_nested(self):
         alpha = UnimodularConstant.from_nu(0.7)
@@ -304,6 +316,22 @@ class TestIntegrators:
         rhs = herglotz_rhs(product_map(P), alpha, z)
         res = integrate(z)
         assert abs(res.value - rhs) / rhs <= PRODUCT_BASE_REL + res.error_bound / rhs
+
+
+    @pytest.mark.parametrize("n", [4096, 32768])
+    def test_closed_form_line_matches_node_quadrature(self, n):
+        # a line carries c times Lebesgue measure, so it adds c P_{z1}(tau)
+        # exactly; the node quadrature of integrate_measure2d is the oracle
+        mu = rif_clark_measure(example_rif(), UnimodularConstant.from_nu(math.pi))
+        assert len(mu.lines) == 1
+        grid = QuadratureGrid(n)
+        integrate = measure_integrator(mu, grid)
+        for z1, z2 in sample_test_points(2, 20):
+            res = integrate((z1, z2))
+            oracle = integrate_measure2d(
+                mu, lambda w1, w2: poisson_kernel(z1, w1) * poisson_kernel(z2, w2), grid)
+            assert res.value == pytest.approx(oracle.value.real, rel=2e-15, abs=0.0)
+            assert res.error_bound <= oracle.error_bound
 
 
 class TestPoissonIdentity:
@@ -428,6 +456,78 @@ class TestSupportInclusion:
             mu, embedding_boundary_map(IDENT, 2), UnimodularConstant.from_nu(0.0)
         )
         assert len(samples) == 16
+
+
+def _pointwise_boundary_value(kind, data, point):
+    """Phi* at one torus point by the scalar boundary values, or None."""
+    if kind == "rif":
+        z1, z2 = point
+        scale = max(max(abs(c) for c in p.coefficients) for p in (data.p1, data.p2))
+        den = data.denominator(z1, z2)
+        if abs(den) > 1e-10 * scale:
+            return complex(data.numerator(z1, z2) / den)
+        try:
+            return rif2d._radial_limit(data, z1, z2)
+        except rif2d.RIFError:
+            return None
+    if kind == "embed":
+        factors = [(data, math.prod(point))]
+    else:
+        factors = [(data.phi, point[0]), (data.psi, point[1])]
+    value = 1.0 + 0j
+    for phi, w in factors:
+        bv = boundary_value(phi, TorusPoint.from_complex(w, tol=1e-6))
+        if not isinstance(bv, Unimodular):
+            return None
+        value *= bv.value
+    return value
+
+
+class TestBoundaryMaps:
+    BLASCHKE_PAIR = InnerFunction1D(monomial_power=1, blaschke_zeros=(0.5j,))
+
+    def cases(self):
+        # embedding atoms stop at K = 10: further out the boundary phase is
+        # so steep that one rounding of z1 z2 moves phi* by 1e-12
+        R = example_rif()
+        ee, be = ProductInner(EXP, EXP), ProductInner(EXP, self.BLASCHKE_PAIR)
+        one = UnimodularConstant.one()
+        quarter = UnimodularConstant.from_nu(0.785398)
+        pi = UnimodularConstant.from_nu(math.pi)
+        return [
+            ("product", ee, product_boundary_map(ee), product_branch_measure(ee, one, K=50),
+             one, [(1 + 0j, 1 + 0j)]),
+            ("product", be, product_boundary_map(be), product_branch_measure(be, quarter, K=50),
+             quarter, []),
+            ("rif", R, rif_boundary_map(R), rif_clark_measure(R, one), one, singularities(R)),
+            ("rif", R, rif_boundary_map(R), rif_clark_measure(R, pi), pi, singularities(R)),
+            ("embed", EXP, embedding_boundary_map(EXP, 2), embed_clark2d(EXP, one, K=10),
+             one, []),
+        ]
+
+    def test_array_form_is_the_pointwise_value_at_every_support_sample(self):
+        for kind, data, bmap, mu, alpha, exempt in self.cases():
+            samples = support_inclusion_check(mu, bmap, alpha, exemptions=exempt)
+            assert samples and all(s.passed for s in samples)
+            z1, z2 = (np.array(c) for c in zip(*(s.point for s in samples)))
+            values = bmap.array(z1, z2)
+            for s, value in zip(samples, values.tolist()):
+                expected = _pointwise_boundary_value(kind, data, s.point)
+                assert bmap(s.point) == (value if cmath.isfinite(value) else None)
+                if expected is None:
+                    assert s.deviation is None and not cmath.isfinite(value)
+                    continue
+                assert abs(s.deviation - abs(expected - alpha.alpha)) <= 1e-12
+
+    def test_samples_off_the_circle_raise(self):
+        # a graph 1.1 zeta off the circle
+        bent = ClarkMeasure2D(curves=(
+            CurveComponent(Graph(lambda z: 1.1 * z), lambda z: np.ones(z.shape)),))
+        for _, _, bmap, _, alpha, _ in self.cases():
+            with pytest.raises(ValueError):
+                support_inclusion_check(bent, bmap, alpha)
+            with pytest.raises(ValueError):
+                bmap((1.0 + 0j, 1.1 + 0j))
 
 
 class TestFourierRP:
