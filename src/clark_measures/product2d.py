@@ -775,10 +775,10 @@ class _OuterFiber(_FiberProfiles):
         else:
             # per-node Richardson step in the truncation order (residual ~ 1/K^2)
             node_sums = full + (full - half) / 3.0
-        value, half_grid = map(complex, periodic_means(node_sums))
         step = 0.0
-        if half is not None:
+        if half is not None:  # before periodic_means zeroes the undefined node sums
             step = float(np.mean(np.abs(full - half)[np.isfinite(node_sums)])) / 3.0
+        value, half_grid = map(complex, periodic_means(node_sums))
         return IntegralResult(value=value, error_bound=abs(value - half_grid) + step)
 
 

@@ -254,14 +254,29 @@ class RIF_n1:
         return cls(p1=poly("p1"), p2=poly("p2"), n=n)
 
 
+def _horner(coefficients: tuple, z: complex) -> complex:
+    """The polynomial with ascending coefficients at the scalar z, by Horner's rule."""
+    value = 0j
+    for c in reversed(coefficients):
+        value = value * z + c
+    return value
+
+
 def rif_map(R: RIF_n1):
-    """The evaluable rule z -> phi(z) on the open bidisc."""
+    """The evaluable rule z -> phi(z) on the open bidisc.
+
+    A point is one scalar Horner pass over each of p1, p2 and their
+    reflections, in Python complex arithmetic; it agrees with the Poly1
+    form of R.numerator / R.denominator to rounding.
+    """
+    p1, p2, q1, q2 = (p.coefficients for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected))
 
     def rule(z) -> complex:
-        z1, z2 = z
-        if not (abs(complex(z1)) < 1 and abs(complex(z2)) < 1):
+        z1, z2 = (complex(c) for c in z)
+        if not (abs(z1) < 1 and abs(z2) < 1):
             raise ValueError("rif_map evaluates interior points only")
-        return complex(R.numerator(z1, z2) / R.denominator(z1, z2))
+        num = z2 * _horner(q1, z1) + _horner(q2, z1)
+        return num / (_horner(p1, z1) + z2 * _horner(p2, z1))
 
     return rule
 
@@ -318,7 +333,8 @@ def b_alpha(R: RIF_n1, alpha: UnimodularConstant) -> LevelRational:
 
 
 def _weight_correlations(R: RIF_n1, alpha: UnimodularConstant):
-    """Laurent coefficients a_{-n}..a_n of W_alpha's numerator and denominator.
+    """Laurent coefficients a_{-n}..a_n of W_alpha's numerator and denominator,
+    the coefficient form _limit_ratio differentiates where |D| vanishes.
 
     On the circle the resultant p1 q1 - p2 q2 is zeta^n (|p1|^2 - |p2|^2), so
     the numerator's a_m is its coefficient of z^(n+m).  The denominator
@@ -347,17 +363,27 @@ def w_alpha(R: RIF_n1, alpha: UnimodularConstant, zeta: TorusPoint) -> float:
 
 
 def w_alpha_values(R: RIF_n1, alpha: UnimodularConstant, zeta) -> np.ndarray:
-    """W_alpha = (|p1|^2 - |p2|^2)/|q1 - alpha p2|^2 at unimodular points zeta,
-    the ratio of _weight_correlations' polynomials; where the denominator
-    vanishes (exceptional alpha) the limiting value is substituted."""
+    """W_alpha = (|p1|^2 - |p2|^2)/|D|^2, D = q1 - alpha p2, at unimodular
+    points zeta.
+
+    Values are taken in value form, from the polynomial values of p1, p2
+    and D at each point, which keeps W's relative accuracy where |p1| is
+    small against its coefficients.  Where |D|^2 <= _DENOMINATOR_FLOOR
+    (exceptional alpha) the limiting value is substituted, from the
+    coefficient form of _weight_correlations.
+    """
     zeta = np.asarray(zeta, dtype=complex)
-    num_corr, den_corr = _weight_correlations(R, alpha)
-    num = _trig_eval(num_corr, zeta)
-    den = _trig_eval(den_corr, zeta)
+    d = _poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha))
+    p1, p2, dv = (npp.polyval(zeta, np.array(p.coefficients)) for p in (R.p1, R.p2, d))
+    num = np.abs(p1) ** 2 - np.abs(p2) ** 2
+    den = np.abs(dv) ** 2
     resolved = den > _DENOMINATOR_FLOOR
     out = np.maximum(num / np.where(resolved, den, 1.0), 0.0)
-    for idx in np.flatnonzero(~resolved):
-        out[idx] = _limit_ratio(num_corr, den_corr, complex(zeta[idx]))
+    unresolved = np.flatnonzero(~resolved)
+    if len(unresolved):
+        num_corr, den_corr = _weight_correlations(R, alpha)
+        for idx in unresolved:
+            out[idx] = _limit_ratio(num_corr, den_corr, complex(zeta[idx]))
     return out
 
 

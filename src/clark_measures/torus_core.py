@@ -165,6 +165,16 @@ class QuadratureGrid:
     def points(self) -> np.ndarray:
         return np.exp(1j * self.thetas())
 
+    @cached_property
+    def _circle_rows(self) -> tuple:
+        """The real and imaginary parts of points() as read-only float rows,
+        made once per grid and shared by the integrators built on it."""
+        zeta = self.points()
+        rows = np.ascontiguousarray(zeta.real), np.ascontiguousarray(zeta.imag)
+        for row in rows:
+            row.flags.writeable = False
+        return rows
+
 
 @dataclass(frozen=True)
 class IntegralResult:
@@ -209,7 +219,9 @@ def periodic_means(values, component_index=None):
     infinite node counts as 0 in both means, which still divide by the full
     node counts N and ceil(N/2).  Undefined values only occur on measure-zero
     sets (boundary singularities), so max(1, N // 1000) such nodes are
-    allowed; more raise QuadratureError with the nodes' angles.
+    allowed; more raise QuadratureError with the nodes' angles.  The zeros
+    are written into values itself when it is a writable array, so a caller
+    that needs its undefined nodes afterwards must find them first.
     """
     v = np.asarray(values)
     n = v.shape[-1]
@@ -221,7 +233,9 @@ def periodic_means(values, component_index=None):
             raise QuadratureError(
                 f"{n_bad} undefined nodes exceed the allowance {allowance}",
                 undefined_angles=angles, component_index=component_index)
-        v = np.where(bad, 0.0, v)
+        if not v.flags.writeable:
+            v = v.copy()
+        v[bad] = 0.0
     return pairwise_sum(v, axis=-1) / n, pairwise_sum(v[..., 0::2], axis=-1) / ((n + 1) // 2)
 
 
@@ -233,7 +247,7 @@ def periodic_quadrature(f, grid: QuadratureGrid) -> complex:
     An undefined node counts as 0 under the periodic_means allowance.
     """
     with np.errstate(all="ignore"):
-        vals = np.asarray(f(grid.points()))
+        vals = np.array(f(grid.points()))  # a copy: periodic_means zeroes undefined nodes
     if vals.shape != (grid.n_nodes,):
         vals = np.broadcast_to(vals, (grid.n_nodes,)).astype(complex)
     return complex(periodic_means(vals)[0])
@@ -245,20 +259,36 @@ def _as_complex(z) -> complex:
     return complex(z)
 
 
+def _poisson_into(x, y, z: complex, out, tmp):
+    """P_z at the circle points x + iy, written into out and returned.
+
+    With z = a + ib this is (1-|z|^2)/((x-a)^2 + (y-b)^2), computed in
+    place: out and tmp are float arrays of x's shape, tmp a scratch row.
+    poisson_kernel runs the same operations, so both give the same bits.
+    """
+    np.subtract(x, z.real, out=out)
+    np.square(out, out=out)
+    np.subtract(y, z.imag, out=tmp)
+    np.square(tmp, out=tmp)
+    np.add(out, tmp, out=out)
+    return np.divide(1.0 - abs(z) ** 2, out, out=out)
+
+
 def poisson_kernel(z, zeta):
     """P_z(zeta) = (1-|z|^2)/|zeta-z|^2 for z in the disc, zeta on the circle.
 
-    `zeta` may be a TorusPoint, a complex scalar, or a numpy array.
+    With zeta = x + iy and z = a + ib the denominator is computed in real
+    arithmetic as (x-a)^2 + (y-b)^2 (see _poisson_into).  `zeta` may be a
+    TorusPoint, a complex scalar, or a numpy array; an array gives an array.
     """
     zv = _as_complex(z)
     if not abs(zv) < 1.0:
         raise ValueError(f"Poisson kernel needs |z| < 1, got |z| = {abs(zv)}")
     if isinstance(zeta, TorusPoint):
-        w = zeta.value
-    else:
-        w = np.asarray(zeta) if isinstance(zeta, np.ndarray) else complex(zeta)
-    out = (1.0 - abs(zv) ** 2) / np.abs(w - zv) ** 2
-    return out if isinstance(out, np.ndarray) else float(out)
+        zeta = zeta.value
+    w = np.asarray(zeta, dtype=complex) if isinstance(zeta, np.ndarray) else np.array(complex(zeta))
+    out = _poisson_into(w.real, w.imag, zv, np.empty(w.shape), np.empty(w.shape))
+    return out if out.ndim else float(out)
 
 
 def poisson_kernel_nd(z: Sequence, zeta: Sequence):

@@ -12,10 +12,10 @@ Embedded measures, in any dimension, live on the subtori
 kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
 exactly P_{z1 ... zd}(eta).  A line {zeta_1 = tau} with constant c
 contributes c P_{z1}(tau), exactly, since P_{z2} has mean 1 on the circle.
-Graph components run the one node loop of integrate_measure2d over nodes
-sampled once per integrator.  The generic quadrature integrators
-(integrate_measure2d, integrate_embed_nd) are the independent oracle the
-tests pin the closed forms against.
+Graph components run the node quadrature of integrate_measure2d, with its
+bits, in real arithmetic over rows sampled once per integrator.  The
+generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
+are the independent oracle the tests pin the closed forms against.
 
 The support check maps all of its samples at once, through the array form
 of a boundary map (embedding_boundary_map, product_boundary_map,
@@ -49,7 +49,7 @@ from .torus_core import (
     UnimodularConstant,
     _canonical_angles,
     _component_nodes,
-    _integrate_nodes,
+    _poisson_into,
     pairwise_sum,
     periodic_means,
     poisson_kernel,
@@ -299,23 +299,57 @@ def _antidiagonal_poisson(etas, weights):
     P_{z1}(zeta_1) ... P_{zd}(zeta_d) is a (d-1)-fold circular convolution of
     Poisson kernels, and P_a * P_b = P_ab, so the subtorus through eta
     contributes exactly P_{z1 ... zd}(eta); for d = 2 it is the antidiagonal.
-    The value is exact up to rounding; no quadrature is involved.  A call
-    runs weights * poisson_kernel(w, etas) in place in buffers made once,
-    since atom-sized temporaries made glibc trim and regrow the heap at
-    every point on some runs.  The zero tail is pairwise_sum's padding.
+    The value is exact up to rounding; no quadrature is involved.  The real
+    and imaginary parts of the etas are stored once, and a call runs
+    weights * poisson_kernel(w, etas) in real arithmetic in buffers made
+    once (torus_core._poisson_into), since atom-sized temporaries made glibc
+    trim and regrow the heap at every point on some runs.  The zero tail is
+    pairwise_sum's padding.
     """
     n = len(etas)
-    diff = np.empty_like(etas)
+    x, y, tmp = np.ascontiguousarray(etas.real), np.ascontiguousarray(etas.imag), np.empty(n)
     padded = np.zeros(1 << (n - 1).bit_length() if n else 0)
     kernel = padded[:n]
 
     def at(w: complex) -> float:
-        np.subtract(etas, w, out=diff)
-        np.abs(diff, out=kernel)
-        np.square(kernel, out=kernel)
-        np.divide(1.0 - abs(w) ** 2, kernel, out=kernel)
+        _poisson_into(x, y, w, kernel, tmp)
         np.multiply(weights, kernel, out=kernel)
         return float(pairwise_sum(padded))
+
+    return at
+
+
+def _graph_poisson(graphs, grid: QuadratureGrid):
+    """(z1, z2) -> (value, grid-halving estimate) of the graphs' Poisson integral.
+
+    The node quadrature of integrate_measure2d over the graph components,
+    with its bits, in real arithmetic over rows made once: the grid's real
+    and imaginary parts (shared by every integrator on grid), each graph's
+    second coordinate as real and imaginary rows and its weight W, and
+    three scratch rows.  A point puts
+    P_{z1} in one scratch row and, per graph, P_{z2} in another, multiplies
+    that in place by P_{z1} and W and takes its periodic_means; only the
+    sums of periodic_means allocate.  The caller adds the tail term, so no
+    sup of the integrand is taken.
+    """
+    x, y = grid._circle_rows
+    rows = []
+    for _, _, z2, weight in _component_nodes(graphs, (), grid.points()):
+        rows.append((np.ascontiguousarray(z2.real), np.ascontiguousarray(z2.imag), weight))
+    kernel1, kernel2, tmp = np.empty((3, grid.n_nodes))
+
+    def at(z1: complex, z2: complex) -> tuple:
+        means, estimates = [], []
+        with np.errstate(all="ignore"):
+            _poisson_into(x, y, z1, kernel1, tmp)
+            for idx, (u, v, weight) in enumerate(rows):
+                _poisson_into(u, v, z2, kernel2, tmp)
+                np.multiply(kernel1, kernel2, out=kernel2)
+                np.multiply(kernel2, weight, out=kernel2)
+                mean, half = periodic_means(kernel2, component_index=idx)
+                means.append(mean)
+                estimates.append(abs(mean - half))
+        return float(pairwise_sum(np.array(means))), float(pairwise_sum(np.array(estimates)))
 
     return at
 
@@ -327,17 +361,17 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     semigroup at w = z1 z2 (see _antidiagonal_poisson).  A line {zeta_1 =
     tau} carrying c times Lebesgue measure contributes c P_{z1}(tau) exactly,
     since the mean of P_{z2} over the circle is 1, so it adds nothing to the
-    bound.  Graph components run one node loop, the generic quadrature of
-    integrate_measure2d, over nodes and weights sampled on grid once here,
-    so a point costs one kernel pass per coordinate.  The tail term is
-    tail_bound times the sup of the integrand over the omitted mass:
+    bound.  Graph components run the node quadrature of integrate_measure2d
+    over real rows sampled on grid once here (see _graph_poisson), so a
+    point costs one real, in-place kernel pass per coordinate.  The tail
+    term is tail_bound times the sup of the integrand over the omitted mass:
     sup P_{z1 z2} when mu holds only antidiagonals, sup P_{z1} sup P_{z2}
     otherwise.  A point off the open bidisc raises ValueError.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     etas, weights, graphs = mu._antidiagonal_block
     antidiagonal = _antidiagonal_poisson(etas, weights)
-    nodes = tuple(_component_nodes(graphs, (), grid.points()))
+    graph_poisson = _graph_poisson(graphs, grid) if graphs else None
     taus = np.array([line.tau.value for line in mu.lines], dtype=complex)
     constants = np.array([line.constant for line in mu.lines], dtype=float)
 
@@ -346,17 +380,14 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
         value = antidiagonal(z1 * z2) if len(etas) else 0.0
         error = 0.0
         if mu.tail_bound:
-            if not (nodes or mu.lines):
+            if not (graphs or mu.lines):
                 error += mu.tail_bound * _poisson_sup(z1 * z2)
             else:
                 error += mu.tail_bound * _poisson_sup(z1) * _poisson_sup(z2)
-        if nodes:
-            def f(w1, w2):
-                return poisson_kernel(z1, w1) * poisson_kernel(z2, w2)
-
-            res = _integrate_nodes(nodes, f, 0.0)
-            value += float(np.real(res.value))
-            error += res.error_bound
+        if graph_poisson:
+            graph_value, graph_error = graph_poisson(z1, z2)
+            value += graph_value
+            error += graph_error
         if len(taus):
             value += float(pairwise_sum(constants * poisson_kernel(z1, taus)))
         return IntegralResult(value, error)

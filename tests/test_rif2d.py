@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +32,7 @@ from clark_measures.rif2d import (
 )
 from clark_measures import rif2d
 from clark_measures.rif2d import _trig_eval, _weight_correlations
+from clark_measures.verify import sample_test_points
 
 GRID = QuadratureGrid(4096)
 
@@ -506,3 +508,44 @@ class TestClarkMeasure:
         v0 = rif_map(R)((0.0, 0.0))
         rhs = (1 - abs(v0) ** 2) / abs(alpha.alpha - v0) ** 2
         assert res.value.real == pytest.approx(rhs, rel=1e-8)
+
+
+class TestValueFormWeight:
+    @staticmethod
+    def horner(coefficients, z):
+        value = mpmath.mpc(0)
+        for c in reversed(coefficients):
+            value = value * z + mpmath.mpc(c.real, c.imag)
+        return value
+
+    def test_ill_conditioned_weight_against_a_40_digit_oracle(self):
+        # every root of p1 = (z - 1.2)^4 sits at 1.2, so |p1|^2 - |p2|^2 is
+        # 5e-7 near z = 1 against coefficients of order 10: the value form
+        # keeps W's relative accuracy there
+        R = RIF_n1(p1=Poly1((2.0736, -6.912, 8.64, -4.8, 1.0)), p2=Poly1((0.00144,)), n=4)
+        zeta = np.exp(2j * np.pi * np.arange(0, 2001, 7) / 2001)
+        for nu in (0.0, 1.0, 2.5):
+            alpha = UnimodularConstant.from_nu(nu)
+            values = w_alpha_values(R, alpha, zeta)
+            with mpmath.workdps(40):
+                a = mpmath.mpc(alpha.alpha.real, alpha.alpha.imag)
+                for w, value in zip(zeta, values):
+                    z = mpmath.mpc(w.real, w.imag)
+                    p1 = self.horner(R.p1.coefficients, z)
+                    p2 = self.horner(R.p2.coefficients, z)
+                    d = self.horner(R.p1_reflected.coefficients, z) - a * p2
+                    exact = (abs(p1) ** 2 - abs(p2) ** 2) / abs(d) ** 2
+                    assert abs(value - exact) <= 1e-11 * exact
+
+
+class TestScalarRifMap:
+    def test_matches_the_polynomial_form(self):
+        R = example_rif()
+        rule = rif_map(R)
+        for z1, z2 in sample_test_points(2, 4096, 1):
+            expected = complex(R.numerator(z1, z2) / R.denominator(z1, z2))
+            assert abs(rule((z1, z2)) - expected) <= 4e-15 * abs(expected)
+
+    def test_rejects_points_off_the_bidisc(self):
+        with pytest.raises(ValueError):
+            rif_map(example_rif())((0.5, 1.0))

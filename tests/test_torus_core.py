@@ -20,6 +20,7 @@ from clark_measures.torus_core import (
     circle_distance,
     integrate_measure2d,
     pairwise_sum,
+    periodic_means,
     periodic_quadrature,
     poisson_kernel,
     poisson_kernel_nd,
@@ -291,3 +292,44 @@ def test_canonical_angle_edge_cases():
     assert canonical_angle(0.0) == 0.0
     assert canonical_angle(-1e-18) == 0.0 or canonical_angle(-1e-18) < TWO_PI
     assert 0.0 <= canonical_angle(1e9) < TWO_PI
+
+
+class TestRealArithmeticKernel:
+    def test_matches_the_complex_modulus_form(self):
+        # poisson_kernel takes (x-a)^2 + (y-b)^2 in real arithmetic; the
+        # complex form (1-|z|^2)/abs(zeta-z)**2 agrees to a few roundings
+        rng = np.random.default_rng(20)
+        n = 10_000
+        z = rng.uniform(0.0, 0.99, n) * np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        zeta = np.exp(1j * rng.uniform(0.0, TWO_PI, n))
+        for a, w in zip(z.tolist(), zeta.tolist()):
+            real_form = poisson_kernel(a, w)
+            complex_form = (1.0 - abs(a) ** 2) / abs(w - a) ** 2
+            assert abs(real_form - complex_form) <= 4 * np.finfo(float).eps * complex_form
+
+    def test_scalar_and_array_forms_share_bits(self):
+        zeta = QuadratureGrid(64).points()
+        values = poisson_kernel(0.3 - 0.6j, zeta)
+        assert all(poisson_kernel(0.3 - 0.6j, complex(w)) == v for w, v in zip(zeta, values))
+
+
+class TestPeriodicMeansInPlace:
+    def test_zeroes_undefined_nodes_in_the_callers_array(self):
+        v = np.ones(2048)
+        v[4] = np.nan
+        full, half = periodic_means(v)
+        assert v[4] == 0.0
+        assert full == 2047 / 2048 and half == 1023 / 1024
+
+    def test_read_only_input_is_left_alone(self):
+        v = np.ones(2048)
+        v[5] = np.inf
+        v.flags.writeable = False
+        assert periodic_means(v)[0] == 2047 / 2048
+        assert np.isinf(v[5])
+
+    def test_quadrature_leaves_the_integrands_array_alone(self):
+        held = np.ones(256, dtype=complex)
+        held[3] = np.nan
+        assert periodic_quadrature(lambda z: held, QuadratureGrid(256)) == 255 / 256
+        assert np.isnan(held[3])

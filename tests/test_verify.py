@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -679,3 +680,23 @@ class TestReport:
         data["passed"] = False
         with pytest.raises(ValueError):
             VerificationReport.from_json_dict(data)
+
+
+class TestGraphPassAllocation:
+    @pytest.mark.parametrize("nu", [0.0, math.pi])
+    def test_a_point_allocates_at_most_one_float_row(self, nu):
+        # the graph rows are made once per integrator; after a warm-up a
+        # point allocates only the tree sums of periodic_means, under N floats
+        n = 32768
+        mu = rif_clark_measure(example_rif(), UnimodularConstant.from_nu(nu))
+        integrate = measure_integrator(mu, QuadratureGrid(n))
+        z = (0.3 + 0.4j, -0.5 + 0.1j)
+        integrate(z)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            integrate(z)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n
