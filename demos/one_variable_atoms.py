@@ -34,7 +34,7 @@ def describe(name: str, phi: InnerFunction1D, K: int = 40) -> None:
     expected_mass = (1.0 - abs(phi0) ** 2) / abs(ALPHA.alpha - phi0) ** 2
     listed = mu.total_listed_mass
     print(f"{name}: {len(mu.atoms)} atoms, tail bound {mu.tail_bound:.3e}")
-    for eta, w in sorted(mu.atoms, key=lambda a: a[0].theta)[:6]:
+    for eta, w in mu.atoms[:6]:
         oracle = 1.0 / angular_derivative_modulus(phi, eta)
         print(
             f"  theta = {eta.theta:8.5f}  weight = {w:.12f}"

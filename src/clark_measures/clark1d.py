@@ -9,7 +9,9 @@ function phi is the positive measure with Poisson integral
 * single-atom singular functions exp(-c (xi+z)/(xi-z)): countably many atoms
   in closed form, truncated at |k| <= K with an analytic tail bound.
 
-Weights are reciprocals of the boundary derivative modulus.
+Weights are reciprocals of the boundary derivative modulus.  Each measure
+is built as two array columns, the atoms' angles and weights
+(torus_core.DiscreteMeasure1D), with no per-atom objects.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .inner1d import (
     InnerFunction1D,
     _blaschke_phase,
-    boundary_derivative_modulus,
+    _boundary_derivative_moduli,
 )
 from .torus_core import (
     TWO_PI,
@@ -103,19 +105,16 @@ def clark_blaschke(phi: InnerFunction1D, alpha: UnimodularConstant) -> DiscreteM
     # rounding of the lift, a few ulps of each of its n + 3 terms; divided
     # by the slope |phi'| = 1/weight it bounds the error of an atom's angle
     phase_error = 2 * (n + 3) * _EPS * (np.abs(targets) + math.pi)
-    atoms = []
-    for a, b, error in zip(lo, hi, phase_error):
-        zeta = TorusPoint(a)
-        # |phi'| >= k + sum_j (1 - |a_j|)/(1 + |a_j|) > 0, so the weight is finite
-        weight = 1.0 / boundary_derivative_modulus(phi, zeta)
-        w_hi = 1.0 / boundary_derivative_modulus(phi, TorusPoint(b))
-        if error * weight > _ANGLE_TOL or abs(w_hi - weight) > _WEIGHT_RTOL * weight:
-            raise DegenerateDerivativeError(
-                f"atom at angle {zeta.theta:.6f} with weight {weight:.3e} is not resolved in float64"
-            )
-        atoms.append((zeta, weight))
-    atoms.sort(key=lambda aw: aw[0].theta)
-    return DiscreteMeasure1D(atoms=tuple(atoms), tail_bound=0.0, generator_id="blaschke")
+    # |phi'| >= k + sum_j (1 - |a_j|)/(1 + |a_j|) > 0, so the weights are finite
+    weights, w_hi = 1.0 / _boundary_derivative_moduli(phi, np.stack([lo, hi]))
+    unresolved = ((phase_error * weights > _ANGLE_TOL)
+                  | (np.abs(w_hi - weights) > _WEIGHT_RTOL * weights))
+    if unresolved.any():
+        j = int(np.argmax(unresolved))
+        raise DegenerateDerivativeError(
+            f"atom at angle {lo[j]:.6f} with weight {weights[j]:.3e} is not resolved in float64"
+        )
+    return DiscreteMeasure1D(lo, weights, tail_bound=0.0, generator_id="blaschke")
 
 
 def _singular_tail_bound(c: float, K: int) -> float:
@@ -152,11 +151,9 @@ def clark_atomic_singular(
     s = alpha.nu + TWO_PI * k
     eta = xi.value * (s - 1j * c) / (s + 1j * c)
     weights = 2.0 * c / (c * c + s * s)
-    points = [TorusPoint(a) for a in np.angle(eta).tolist()]
-    order = np.argsort([p.theta for p in points], kind="stable")
-    atoms = tuple(zip([points[j] for j in order.tolist()], weights[order].tolist()))
     return DiscreteMeasure1D(
-        atoms=atoms,
+        np.angle(eta),
+        weights,
         tail_bound=_singular_tail_bound(c, K),
         generator_id="atomic_singular",
     )
@@ -192,8 +189,7 @@ def level_points(
     K: int = DEFAULT_TRUNCATION,
 ) -> LevelPoints:
     """Atoms of the Clark measure plus zero-mass accumulation points."""
-    mu = clark_measure1d(phi, alpha, K)
-    points = tuple(zeta for zeta, _ in mu.atoms)
+    points = tuple(map(TorusPoint, clark_measure1d(phi, alpha, K).thetas.tolist()))
     accumulation = ()
     if phi.has_singular_part:
         accumulation = tuple(xi for xi, _ in phi.singular_atoms)

@@ -399,14 +399,15 @@ def _cmd_eval(spec: CommandSpec) -> int:
     return 0
 
 
+def _measure1d_payload(mu) -> dict:
+    atoms = zip(mu.thetas.tolist(), mu.weights.tolist())
+    return {"atoms": [{"angle": t, "weight": w} for t, w in atoms], "tail_bound": mu.tail_bound}
+
+
 def _cmd_measure1d(spec: CommandSpec) -> int:
     phi = _load_inner(spec.input)
     mu = _compute(lambda: clark_measure1d(phi, _alpha_of(spec.alpha), K=spec.K))
-    payload = {
-        "atoms": [{"angle": p.theta, "weight": w} for p, w in mu.atoms],
-        "tail_bound": mu.tail_bound,
-    }
-    _emit(_json_text(payload), spec.output)
+    _emit(_json_text(_measure1d_payload(mu)), spec.output)
     return 0
 
 
@@ -415,12 +416,7 @@ def _cmd_embed(spec: CommandSpec) -> int:
     alpha = _alpha_of(spec.alpha)
     if spec.format == "json":
         em = _compute(lambda: embed_clark_nd(phi, alpha, spec.d, K=spec.K))
-        payload = {
-            "dimension": em.dimension,
-            "atoms": [{"angle": p.theta, "weight": w} for p, w in em.base.atoms],
-            "tail_bound": em.base.tail_bound,
-        }
-        _emit(_json_text(payload), spec.output)
+        _emit(_json_text({"dimension": em.dimension, **_measure1d_payload(em.base)}), spec.output)
         return 0
     if spec.d != 2:
         raise SchemaError("curve output is two-dimensional; use --format json for d >= 3")

@@ -83,13 +83,8 @@ def embed_level_set(
     Accumulation points contribute zero-weight antidiagonals: they belong to
     the closed level set but carry no mass.
     """
-    mu = clark_measure1d(phi, alpha, K)
-    components = [CurveComponent(Antidiagonal(zeta), w) for zeta, w in mu.atoms]
-    if phi.has_singular_part:
-        components.extend(
-            CurveComponent(Antidiagonal(xi), 0.0) for xi, _ in phi.singular_atoms
-        )
-    return tuple(components)
+    accumulation = tuple(CurveComponent(Antidiagonal(xi), 0.0) for xi, _ in phi.singular_atoms)
+    return embed_clark2d(phi, alpha, K).curves + accumulation
 
 
 def _measure2d_from_base(base: DiscreteMeasure1D) -> ClarkMeasure2D:
@@ -124,10 +119,9 @@ def _iterated_value(em: EmbeddedClarkND, f, inner_thetas, outer_thetas) -> tuple
     are the even nodes of both, so one pass gives both values.
     """
     d = em.dimension
-    eta = em.base.points_array()[:, None]
-    weights = em.base.weights_array()[:, None]
+    eta = np.exp(1j * em.base.thetas)[:, None]
+    weights = em.base.weights[:, None]
     inner = np.exp(1j * inner_thetas)[None, :]
-    n_inner = inner.shape[1]
     outer_axes = d - 2
     sup_f = 0.0
 
@@ -140,8 +134,8 @@ def _iterated_value(em: EmbeddedClarkND, f, inner_thetas, outer_thetas) -> tuple
         for c in prefix:
             lead *= c
         last = eta * np.conj(lead * inner)
-        args = [np.broadcast_to(c, (len(em.base.atoms), n_inner)) for c in prefix]
-        args.append(np.broadcast_to(inner, (len(em.base.atoms), n_inner)))
+        args = [np.broadcast_to(c, last.shape) for c in prefix]
+        args.append(np.broadcast_to(inner, last.shape))
         args.append(last)
         with np.errstate(all="ignore"):
             values = np.asarray(f(*args), dtype=complex)

@@ -240,42 +240,32 @@ def derivative(phi: InnerFunction1D, z) -> complex:
     return deriv
 
 
-def _nearest_atom_distance(phi: InnerFunction1D, theta: float) -> float:
-    if not phi.singular_atoms:
-        return math.inf
-    return min(circle_distance(theta, xi.theta) for xi, _ in phi.singular_atoms)
+def _near_singular_atoms(phi: InnerFunction1D, thetas: np.ndarray) -> np.ndarray:
+    """Mask of the angles within ANGLE_TOL of a singular atom."""
+    near = np.zeros(thetas.shape, dtype=bool)
+    for xi, _ in phi.singular_atoms:
+        delta = thetas - xi.theta
+        near |= np.abs((delta + math.pi) % (2.0 * math.pi) - math.pi) <= ANGLE_TOL
+    return near
 
 
 def boundary_value(phi: InnerFunction1D, zeta: TorusPoint) -> BoundaryValue:
-    """Radial boundary limit at a circle point.
-
-    Away from singular atoms the limit is unimodular and is evaluated in
-    closed form; at an atom the radial limit is 0.
+    """Radial boundary limit at a circle point: boundary_values_array at one
+    angle, Unimodular away from singular atoms and ZERO at them.
     """
     if not isinstance(zeta, TorusPoint):
         zeta = TorusPoint(zeta)
-    if _nearest_atom_distance(phi, zeta.theta) <= ANGLE_TOL:
-        return ZERO
-    theta = zeta.theta
-    z = zeta.value
-    value = complex(phi.unimodular_factor.alpha)
-    if phi.monomial_power:
-        value *= z ** phi.monomial_power
-    for a in phi.blaschke_zeros:
-        aj = a.value
-        value *= (aj - z) / (1.0 - aj.conjugate() * z)
-    if phi.singular_atoms:
-        # exp(-c (xi+zeta)/(xi-zeta)) restricted to the circle is the pure
-        # phase exp(-i c cot((theta-theta_xi)/2))
-        phase = 0.0
-        for xi, mass in phi.singular_atoms:
-            phase += mass / math.tan(0.5 * (theta - xi.theta))
-        value *= cmath.exp(-1j * phase)
-    return Unimodular(value)
+    value = complex(boundary_values_array(phi, zeta.theta))
+    return ZERO if cmath.isnan(value) else Unimodular(value)
 
 
 def boundary_values_array(phi: InnerFunction1D, thetas: np.ndarray) -> np.ndarray:
-    """Vectorized boundary values; NaN at singular atom locations."""
+    """Radial boundary limits at angles theta, in closed form; NaN at
+    singular atom locations, where the radial limit is 0.
+
+    Away from the atoms the limit is unimodular: exp(-c (xi+zeta)/(xi-zeta))
+    restricted to the circle is the pure phase exp(-i c cot((theta-theta_xi)/2)).
+    """
     thetas = np.asarray(thetas, dtype=float)
     z = np.exp(1j * thetas)
     values = np.full(thetas.shape, phi.unimodular_factor.alpha, dtype=complex)
@@ -286,16 +276,12 @@ def boundary_values_array(phi: InnerFunction1D, thetas: np.ndarray) -> np.ndarra
         values = values * (aj - z) / (1.0 - aj.conjugate() * z)
     if phi.singular_atoms:
         phase = np.zeros(thetas.shape, dtype=float)
-        bad = np.zeros(thetas.shape, dtype=bool)
         for xi, mass in phi.singular_atoms:
-            delta = thetas - xi.theta
-            dist = np.abs((delta + math.pi) % (2.0 * math.pi) - math.pi)
-            bad |= dist <= ANGLE_TOL
             with np.errstate(divide="ignore", invalid="ignore"):
-                phase += mass / np.tan(0.5 * delta)
+                phase += mass / np.tan(0.5 * (thetas - xi.theta))
         with np.errstate(invalid="ignore"):
             values = values * np.exp(-1j * phase)
-        values = np.where(bad, np.nan + 0j, values)
+        values = np.where(_near_singular_atoms(phi, thetas), np.nan + 0j, values)
     return values
 
 
@@ -340,25 +326,33 @@ def _one_minus_abs2(a: complex) -> float:
     return math.fsum(parts)
 
 
-def boundary_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float:
-    """|phi'| on the circle in closed form:
+def _boundary_derivative_moduli(phi: InnerFunction1D, thetas) -> np.ndarray:
+    """|phi'| on the circle at angles theta, in closed form:
 
         |phi'(zeta)| = k + sum_j (1-|a_j|^2)/|zeta-a_j|^2 + sum_j 2 c_j/|xi_j-zeta|^2.
 
-    Returns +inf at singular atoms.
+    +inf at singular atoms.
     """
+    thetas = np.asarray(thetas, dtype=float)
+    z = np.exp(1j * thetas)
+    total = np.full(thetas.shape, float(phi.monomial_power))
+    # moduli by np.hypot, whose bits are those of abs() of a Python complex
+    for a in phi.blaschke_zeros:
+        d = z - a.value
+        total += _one_minus_abs2(a.value) / np.hypot(d.real, d.imag) ** 2
+    with np.errstate(divide="ignore"):
+        for xi, mass in phi.singular_atoms:
+            d = xi.value - z
+            total += 2.0 * mass / np.hypot(d.real, d.imag) ** 2
+    return np.where(_near_singular_atoms(phi, thetas), math.inf, total)
+
+
+def boundary_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float:
+    """|phi'| on the circle in closed form: _boundary_derivative_moduli at one
+    angle, +inf at singular atoms."""
     if not isinstance(zeta, TorusPoint):
         zeta = TorusPoint(zeta)
-    if _nearest_atom_distance(phi, zeta.theta) <= ANGLE_TOL:
-        return math.inf
-    z = zeta.value
-    total = float(phi.monomial_power)
-    for a in phi.blaschke_zeros:
-        aj = a.value
-        total += _one_minus_abs2(aj) / abs(z - aj) ** 2
-    for xi, mass in phi.singular_atoms:
-        total += 2.0 * mass / abs(xi.value - z) ** 2
-    return total
+    return float(_boundary_derivative_moduli(phi, zeta.theta))
 
 
 def angular_derivative_modulus(phi: InnerFunction1D, zeta: TorusPoint) -> float:

@@ -312,10 +312,9 @@ def branch_curves(
             values.append(None)
             weights.append(None)
             continue
-        atoms = sorted(mu.atoms, key=lambda zw: zw[0].theta)
-        values.append(np.array([z.value for z, _ in atoms]))
-        weights.append(np.array([w for _, w in atoms]))
-        n_branches = len(atoms) if n_branches is None else n_branches
+        values.append(np.exp(1j * mu.thetas))
+        weights.append(mu.weights)
+        n_branches = len(mu.weights) if n_branches is None else n_branches
     curves = []
     for b in range(n_branches or 0):
         zs = np.array([np.nan + 0j if v is None or len(v) <= b else v[b] for v in values])

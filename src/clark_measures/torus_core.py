@@ -3,6 +3,8 @@ and the measure containers shared by every other module.
 
 Angles are radians in [0, 2pi) throughout; the normalized measure
 m = dtheta/2pi is used everywhere, so a quadrature is just a node mean.
+A one-variable measure is stored as columns, an angle array and a weight
+array; its TorusPoint atoms are derived from them on demand.
 """
 
 from __future__ import annotations
@@ -304,40 +306,49 @@ def poisson_kernel_nd(z: Sequence, zeta: Sequence):
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteMeasure1D:
-    """Atomic measure on the circle: (point, weight) pairs plus a tail bound
-    for the total weight of omitted atoms of an infinite family."""
+    """Atomic measure on the circle as two read-only float columns, the
+    atoms' angles (canonical and increasing) and weights, plus a tail bound
+    for the total weight of omitted atoms of an infinite family.
 
-    atoms: tuple
+    The constructor canonicalises and sorts the columns, and requires finite
+    angles, positive finite weights and atoms pairwise distinct on the
+    circle, across 2pi too.
+    """
+
+    thetas: np.ndarray
+    weights: np.ndarray
     tail_bound: float = 0.0
     generator_id: Optional[str] = None
 
     def __post_init__(self):
-        atoms = tuple((p if isinstance(p, TorusPoint) else TorusPoint(p), float(w))
-                      for p, w in self.atoms)
-        object.__setattr__(self, "atoms", atoms)
+        thetas, weights = np.asarray(self.thetas, float), np.asarray(self.weights, float)
+        if thetas.ndim != 1 or thetas.shape != weights.shape:
+            raise ValueError("thetas and weights must be 1D columns of equal length")
+        if not np.isfinite(thetas).all():
+            raise ValueError("atom angles must be finite")
+        if not ((weights > 0) & np.isfinite(weights)).all():
+            raise ValueError("atom weights must be positive and finite")
         if self.tail_bound < 0 or not math.isfinite(self.tail_bound):
             raise ValueError("tail_bound must be finite and nonnegative")
-        for _, w in atoms:
-            if not (w > 0 and math.isfinite(w)):
-                raise ValueError(f"atom weights must be positive and finite, got {w}")
-        if len(atoms) > 1:
-            order = sorted(a.theta for a, _ in atoms)
-            gaps = [order[i + 1] - order[i] for i in range(len(order) - 1)]
-            gaps.append(TWO_PI - (order[-1] - order[0]))
-            if min(gaps) <= ANGLE_TOL:
-                raise ValueError("atoms must be pairwise distinct on the circle")
+        thetas = _canonical_angles(thetas)
+        order = np.argsort(thetas, kind="stable")
+        thetas, weights = thetas[order], weights[order]
+        if len(thetas) > 1 and np.diff(thetas, append=thetas[0] + TWO_PI).min() <= ANGLE_TOL:
+            raise ValueError("atoms must be pairwise distinct on the circle")
+        for name, column in (("thetas", thetas), ("weights", weights)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """(TorusPoint, weight) pairs in angle order, derived from the columns."""
+        return tuple(zip(map(TorusPoint, self.thetas.tolist()), self.weights.tolist()))
 
     @property
     def total_listed_mass(self) -> float:
-        return float(pairwise_sum(np.array([w for _, w in self.atoms])) if self.atoms else 0.0)
-
-    def points_array(self) -> np.ndarray:
-        return np.array([p.value for p, _ in self.atoms], dtype=complex)
-
-    def weights_array(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=float)
+        return float(pairwise_sum(self.weights))
 
 
 @dataclass(frozen=True)

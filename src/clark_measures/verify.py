@@ -410,7 +410,7 @@ def embed_integrator(em: EmbeddedClarkND, grid: QuadratureGrid = None):
     """
     base = em.base
     d = em.dimension
-    antidiagonal = _antidiagonal_poisson(base.points_array(), base.weights_array())
+    antidiagonal = _antidiagonal_poisson(np.exp(1j * base.thetas), base.weights)
 
     def integrate(z) -> IntegralResult:
         w = math.prod(_interior_point(z, d))
@@ -581,13 +581,15 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
 
     moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
     moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
-    # antidiagonal moments depend on k2 alone: one pass over the atoms each,
-    # into one buffer rather than an atom-sized temporary per k2
+    # antidiagonal moments sum_j w_j eta_j^(-k2) depend on k2 alone: running
+    # products w eta^k and w conj(eta)^k, each reduced by np.sum's pairwise
+    # sum, since a BLAS dot's result depends on its thread count
     eta_moments = {}
-    if len(etas):
-        power = np.empty_like(etas)
-        eta_moments = {k2: complex(weights @ np.power(etas, -k2, out=power))
-                       for k2 in range(-kmax, kmax + 1) if k2}
+    up, down, conj_etas = weights.astype(complex), weights.astype(complex), np.conj(etas)
+    for k in range(1, kmax + 1):
+        up *= etas
+        down *= conj_etas
+        eta_moments[-k], eta_moments[k] = complex(np.sum(up)), complex(np.sum(down))
 
     pairs = [
         (k1, k2)

@@ -19,6 +19,7 @@ from clark_measures.inner1d import (
     InnerFunction1D,
     Unimodular,
     angular_derivative_modulus,
+    boundary_derivative_modulus,
     boundary_value,
     eval_inner,
 )
@@ -26,6 +27,7 @@ from clark_measures.torus_core import (
     DiskPoint,
     TorusPoint,
     UnimodularConstant,
+    canonical_angle,
     circle_distance,
 )
 
@@ -289,6 +291,39 @@ class TestClarkAtomicSingular:
             clark_atomic_singular(1.0, TorusPoint(0.0), UnimodularConstant.one(), K=0)
         with pytest.raises(ValueError):
             clark_atomic_singular(-1.0, TorusPoint(0.0), UnimodularConstant.one(), K=5)
+
+
+class TestColumns:
+    """The angle column is canonical_angle of each raw atom angle, bit for bit."""
+
+    @pytest.mark.parametrize("c,theta_xi,nu,K", [
+        (1.0, 0.0, 0.0, 10_000), (0.7, 2.0, math.pi, 50), (2.5, 5.5, 4.0, 300),
+        # the atom k = K lands at a raw angle of -4.1e-16, which np.mod
+        # rounds to 2 pi itself; canonical_angle takes it as 0
+        (1.0, 0.031828301398905794, 0.0, 10),
+    ])
+    def test_exp_family_angles(self, c, theta_xi, nu, K):
+        alpha = UnimodularConstant.from_nu(nu)
+        mu = clark_atomic_singular(c, TorusPoint(theta_xi), alpha, K=K)
+        s = alpha.nu + TWO_PI * np.arange(-K, K + 1)
+        raw = np.angle(TorusPoint(theta_xi).value * (s - 1j * c) / (s + 1j * c))
+        want = sorted(zip(map(canonical_angle, raw.tolist()), (2.0 * c / (c * c + s * s)).tolist()))
+        assert mu.thetas.tobytes() == np.array([t for t, _ in want]).tobytes()
+        assert mu.weights.tobytes() == np.array([w for _, w in want]).tobytes()
+        if theta_xi == 0.031828301398905794:
+            assert -4.4e-16 < raw[-1] < 0.0 and np.mod(raw[-1], TWO_PI) == TWO_PI
+            assert mu.thetas[0] == 0.0
+
+    @pytest.mark.parametrize("phi", [BLASCHKE_MONO, DEGREE5], ids=["bmono", "degree5"])
+    @pytest.mark.parametrize("nu", [0.0, 1.3, 5.9])
+    def test_blaschke_columns(self, phi, nu):
+        mu = clark_blaschke(phi, UnimodularConstant.from_nu(nu))
+        thetas = mu.thetas.tolist()
+        assert thetas == sorted(thetas) == [canonical_angle(t) for t in thetas]
+        assert 0.0 <= thetas[0] and thetas[-1] < TWO_PI
+        assert mu.weights.tolist() == [
+            1.0 / boundary_derivative_modulus(phi, TorusPoint(t)) for t in thetas]
+        assert mu.atoms == tuple(zip(map(TorusPoint, thetas), mu.weights.tolist()))
 
 
 class TestDispatchAndLevelPoints:

@@ -243,6 +243,18 @@ class TestMeasure1D:
         assert total <= expected + 1e-9
         assert expected <= total + payload["tail_bound"] + 1e-9
 
+    def test_exp_atoms_are_canonical_angles_in_order(self, capsys, specs):
+        # each atom's angle is canonical_angle of the phase of
+        # eta_k = (s_k - i)/(s_k + i), s_k = 2 pi k, listed in angle order
+        code, out, _ = run_cli(capsys, "measure1d", "--input", specs["exp"],
+                               "--alpha", "0", "--K", "50")
+        assert code == 0
+        s = TWO_PI * np.arange(-50, 51)
+        raw = np.angle(TorusPoint(0.0).value * (s - 1j) / (s + 1j))
+        want = sorted(zip(map(TorusPoint, raw.tolist()), (2.0 / (1.0 + s * s)).tolist()),
+                      key=lambda aw: aw[0].theta)
+        assert json.loads(out)["atoms"] == [{"angle": p.theta, "weight": w} for p, w in want]
+
     def test_output_file(self, capsys, specs, tmp_path):
         target = tmp_path / "measure.json"
         code, out, _ = run_cli(capsys, "measure1d", "--input", specs["monomial1"],
@@ -744,16 +756,23 @@ def test_readme_cli_lines_parse():
 
 
 class TestModuleInvocation:
-    def test_python_m_entry(self, specs):
+    @staticmethod
+    def _run(args, **env_extra):
         # the subprocess imports the package from its src directory, as the
         # pytest process does through the pythonpath ini setting
         src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ)
+        env = dict(os.environ, **env_extra)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "clark_measures", "measure1d",
-             "--input", specs["monomial1"], "--alpha", "0"],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "clark_measures", *args],
+                              capture_output=True, text=True, timeout=120, env=env)
+
+    def test_verify_embed_bytes_do_not_depend_on_blas_threads(self, specs):
+        args = ["verify", "--embed", specs["exp"], "--alpha", "0"]
+        one, two = (self._run(args, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout
+
+    def test_python_m_entry(self, specs):
+        proc = self._run(["measure1d", "--input", specs["monomial1"], "--alpha", "0"])
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["atoms"] == [{"angle": 0.0, "weight": 1.0}]

@@ -199,16 +199,70 @@ class TestPeriodicQuadrature:
 class TestDiscreteMeasure1D:
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError):
-            DiscreteMeasure1D(atoms=((TorusPoint(0.0), 0.0),))
+            DiscreteMeasure1D([0.0], [0.0])
+        with pytest.raises(ValueError):
+            DiscreteMeasure1D([0.0, 1.0], [1.0, -0.5])
 
     def test_rejects_duplicate_atoms(self):
         with pytest.raises(ValueError):
-            DiscreteMeasure1D(atoms=((TorusPoint(1.0), 1.0), (TorusPoint(1.0 + 1e-14), 1.0)))
+            DiscreteMeasure1D([1.0, 1.0 + 1e-14], [1.0, 1.0])
+
+    def test_rejects_duplicates_across_the_wrap(self):
+        with pytest.raises(ValueError):
+            DiscreteMeasure1D([0.0, TWO_PI - 1e-14], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angles(self, bad):
+        with pytest.raises(ValueError):
+            DiscreteMeasure1D([0.5, bad], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        with pytest.raises(ValueError):
+            DiscreteMeasure1D([0.5, 1.5], [1.0, bad])
+
+    def test_rejects_mismatched_columns(self):
+        with pytest.raises(ValueError):
+            DiscreteMeasure1D([0.5, 1.5], [1.0])
 
     def test_arrays(self):
-        mu = DiscreteMeasure1D(atoms=((TorusPoint(0.0), 0.5), (TorusPoint(math.pi), 0.25)))
+        mu = DiscreteMeasure1D([0.0, math.pi], [0.5, 0.25])
         assert mu.total_listed_mass == pytest.approx(0.75)
-        assert np.allclose(mu.points_array(), [1.0, -1.0])
+        assert np.allclose(np.exp(1j * mu.thetas), [1.0, -1.0])
+        assert mu.weights.tolist() == [0.5, 0.25]
+
+    def test_sorts_unsorted_input(self):
+        mu = DiscreteMeasure1D([3.0, -1.0, 0.5, 7.0], [0.1, 0.2, 0.3, 0.4])
+        want = sorted(zip([3.0, TWO_PI - 1.0, 0.5, 7.0 - TWO_PI], [0.1, 0.2, 0.3, 0.4]))
+        assert mu.thetas.tolist() == [t for t, _ in want]
+        assert mu.weights.tolist() == [w for _, w in want]
+
+    def test_columns_are_read_only_copies(self):
+        thetas, weights = np.array([0.25, 1.0]), np.array([1.0, 2.0])
+        mu = DiscreteMeasure1D(thetas, weights)
+        for column in (mu.thetas, mu.weights):
+            with pytest.raises(ValueError):
+                column[0] = 0.5
+        thetas[0] = weights[0] = 3.0
+        assert mu.thetas.tolist() == [0.25, 1.0] and mu.weights.tolist() == [1.0, 2.0]
+
+    def test_atoms_are_the_pairs_of_the_columns(self):
+        mu = DiscreteMeasure1D([2.0, -0.5, 0.0], [0.5, 0.25, 1.0])
+        assert mu.atoms == tuple(zip(map(TorusPoint, mu.thetas.tolist()), mu.weights.tolist()))
+        assert [p.theta for p, _ in mu.atoms] == mu.thetas.tolist()
+        assert mu.atoms is mu.atoms
+
+    def test_empty_measure(self):
+        mu = DiscreteMeasure1D([], [])
+        assert mu.atoms == () and mu.total_listed_mass == 0.0
+
+    def test_angles_match_canonical_angle_bit_for_bit(self):
+        # np.mod(-1e-17, 2 pi) rounds to 2 pi itself, which is taken as 0
+        raw = [-1e-17, -0.25, 3 * TWO_PI + 0.5, 1.0, -TWO_PI - 2.0]
+        mu = DiscreteMeasure1D(raw, np.ones(len(raw)))
+        want = np.array(sorted(canonical_angle(t) for t in raw))
+        assert mu.thetas.tobytes() == want.tobytes()
+        assert mu.thetas[0] == 0.0 and mu.thetas.max() < TWO_PI
 
 
 class TestIntegrateMeasure2D:
