@@ -28,7 +28,7 @@ GRID = QuadratureGrid(4096)
 
 mu = embed_clark2d(EXP, ALPHA, K=2000)
 print(
-    f"bidisc embedding: {len(mu.curves)} antidiagonals,"
+    f"bidisc embedding: {len(mu.thetas)} antidiagonals,"
     f" tail bound {mu.tail_bound:.3e}"
 )
 report = poisson_identity_check(

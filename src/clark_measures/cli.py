@@ -51,7 +51,6 @@ from .rif2d import (
 )
 from .torus_core import (
     TWO_PI,
-    Antidiagonal,
     ClarkMeasure2D,
     QuadratureGrid,
     UnimodularConstant,
@@ -236,8 +235,10 @@ def _grid_angles(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def _measure_components(mu: ClarkMeasure2D, thetas: np.ndarray, prefix: str = ""):
-    """The _Component of each curve, then of each line, sampled at thetas.
+def _measure_components(mu: ClarkMeasure2D, thetas: np.ndarray, prefix: str = "",
+                        swap: bool = False):
+    """The _Component of each curve, then of each line, sampled at thetas,
+    with theta1 and theta2 exchanged when swap is set.
 
     An antidiagonal and a line take every node, and their constant weight
     (and a line's theta1) as one float; a graph takes the nodes where its
@@ -246,21 +247,20 @@ def _measure_components(mu: ClarkMeasure2D, thetas: np.ndarray, prefix: str = ""
     """
     zeta = np.exp(1j * thetas)
     every = np.arange(len(thetas))
-    out = []
-    for i, comp in enumerate(mu.curves):
-        cid = f"{prefix}curve{i}"
-        if isinstance(comp.kind, Antidiagonal):
-            t2 = _canonical_angles(comp.kind.eta.theta - thetas)
-            out.append(_Component(cid, every, None, t2, comp.weight))
-        else:
-            z2 = comp.second_coordinate(zeta)
-            w = comp.weight_values(zeta)
-            ok = np.isfinite(z2) & np.isfinite(w)
-            t2 = _canonical_angles(np.angle(z2[ok]))
-            out.append(_Component(cid, np.flatnonzero(ok), None, t2, w[ok]))
+    antidiagonals = zip(mu.thetas.tolist(), mu.weights.tolist())
+    out = [_Component(f"{prefix}curve{i}", every, None, _canonical_angles(eta - thetas), w)
+           for i, (eta, w) in enumerate(antidiagonals)]
+    for comp in mu.graphs:
+        z2 = comp.second_coordinate(zeta)
+        w = comp.weight_values(zeta)
+        ok = np.isfinite(z2) & np.isfinite(w)
+        t2 = _canonical_angles(np.angle(z2[ok]))
+        out.append(_Component(f"{prefix}curve{len(out)}", np.flatnonzero(ok), None, t2, w[ok]))
     for i, line in enumerate(mu.lines):
         cid = f"{prefix}line{i}"
         out.append(_Component(cid, every, line.tau.theta, None, float(line.constant)))
+    if swap:
+        out = [comp._replace(theta1=comp.theta2, theta2=comp.theta1) for comp in out]
     return out
 
 
@@ -355,9 +355,10 @@ def _svg_text(thetas: np.ndarray, groups) -> str:
     return "\n".join(out) + "\n"
 
 
-def _emit_measure(mu: ClarkMeasure2D, spec: CommandSpec, extra: dict = None) -> int:
+def _emit_measure(mu: ClarkMeasure2D, spec: CommandSpec, extra: dict = None,
+                  swap: bool = False) -> int:
     thetas = _grid_angles(spec.N)
-    components = _measure_components(mu, thetas)
+    components = _measure_components(mu, thetas, swap=swap)
     if spec.format == "csv":
         _emit(_csv_text(thetas, components), spec.output)
     elif spec.format == "svg":
@@ -424,10 +425,21 @@ def _cmd_embed(spec: CommandSpec) -> int:
     return _emit_measure(mu, spec)
 
 
+def _product_branches(P: ProductInner, alpha: UnimodularConstant, K: int) -> tuple:
+    """(mu, swap): the branch measure of P, or, where only the product with
+    its factors exchanged has a closed-form branch family, that product's
+    measure with swap set.  Its level set is the transpose of P's, so P's
+    Clark measure is its push-forward under (z1, z2) -> (z2, z1)."""
+    try:
+        return product_branch_measure(P, alpha, K=K), False
+    except UnsupportedFunctionError:
+        return product_branch_measure(ProductInner(P.psi, P.phi), alpha, K=K), True
+
+
 def _cmd_product(spec: CommandSpec) -> int:
     P = _load_product(spec.input)
-    mu = _compute(lambda: product_branch_measure(P, _alpha_of(spec.alpha), K=spec.K))
-    return _emit_measure(mu, spec)
+    mu, swap = _compute(lambda: _product_branches(P, _alpha_of(spec.alpha), spec.K))
+    return _emit_measure(mu, spec, swap=swap)
 
 
 def _cmd_rif(spec: CommandSpec) -> int:
@@ -525,19 +537,19 @@ def _cmd_verify(spec: CommandSpec) -> int:
 def _cmd_plot(spec: CommandSpec) -> int:
     if spec.input_kind == "rif":
         R = _load_rif(spec.input)
-        build = lambda alpha: rif_clark_measure(R, alpha)
+        build = lambda alpha: (rif_clark_measure(R, alpha), False)
     elif spec.input_kind == "product":
         P = _load_product(spec.input)
-        build = lambda alpha: product_branch_measure(P, alpha, K=spec.K)
+        build = lambda alpha: _product_branches(P, alpha, spec.K)
     else:
         phi = _load_inner(spec.input)
-        build = lambda alpha: embed_clark2d(phi, alpha, K=spec.K)
+        build = lambda alpha: (embed_clark2d(phi, alpha, K=spec.K), False)
 
     thetas = _grid_angles(spec.N)
     groups, flat = [], []
     for j, nu in enumerate(spec.alpha_list):
-        mu = _compute(lambda: build(_alpha_of(nu)))
-        components = _measure_components(mu, thetas, prefix=f"alpha{j}:")
+        mu, swap = _compute(lambda: build(_alpha_of(nu)))
+        components = _measure_components(mu, thetas, prefix=f"alpha{j}:", swap=swap)
         groups.append((f"alpha{j}", _PALETTE[j % len(_PALETTE)], components))
         flat.extend(components)
 

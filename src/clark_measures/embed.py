@@ -3,8 +3,11 @@
 The Clark measure of the embedding is carried by antidiagonal families: one
 antidiagonal {(z, eta conj(z))} (d = 2) or its d-variate analogue per atom
 eta of the one-variable Clark measure, each with the constant density given
-by the atom weight.  Integration iterates periodic quadrature over the first
-d-1 coordinates with the last coordinate bound to eta conj(z_1 ... z_{d-1}).
+by the atom weight.  At d = 2 the one-variable measure's angle and weight
+columns are the antidiagonal columns of the ClarkMeasure2D, passed in
+as they are; no per-atom object is made.  Integration iterates periodic
+quadrature over the first d-1 coordinates with the last coordinate bound
+to eta conj(z_1 ... z_{d-1}).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .torus_core import (
     DiscreteMeasure1D,
     IntegralResult,
     QuadratureGrid,
-    TorusPoint,
     UnimodularConstant,
     integrate_measure2d,
     pairwise_sum,
@@ -88,8 +90,7 @@ def embed_level_set(
 
 
 def _measure2d_from_base(base: DiscreteMeasure1D) -> ClarkMeasure2D:
-    curves = tuple(CurveComponent(Antidiagonal(zeta), w) for zeta, w in base.atoms)
-    return ClarkMeasure2D(curves=curves, tail_bound=base.tail_bound)
+    return ClarkMeasure2D(thetas=base.thetas, weights=base.weights, tail_bound=base.tail_bound)
 
 
 def embed_clark2d(
@@ -97,7 +98,8 @@ def embed_clark2d(
     alpha: UnimodularConstant,
     K: int = DEFAULT_TRUNCATION,
 ) -> ClarkMeasure2D:
-    """Bidisc Clark measure of phi(z_1 z_2): positive-weight antidiagonals."""
+    """Bidisc Clark measure of phi(z_1 z_2): positive-weight antidiagonals,
+    the columns of the one-variable measure."""
     return _measure2d_from_base(clark_measure1d(phi, alpha, K))
 
 

@@ -4,7 +4,9 @@ and the measure containers shared by every other module.
 Angles are radians in [0, 2pi) throughout; the normalized measure
 m = dtheta/2pi is used everywhere, so a quadrature is just a node mean.
 A one-variable measure is stored as columns, an angle array and a weight
-array; its TorusPoint atoms are derived from them on demand.
+array; its TorusPoint atoms are derived from them on demand.  A
+two-variable measure stores its antidiagonal family the same way, and its
+CurveComponent view of the family is derived on demand too.
 """
 
 from __future__ import annotations
@@ -415,37 +417,57 @@ class LineComponent:
             raise ValueError("line constant must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class ClarkMeasure2D:
-    """Curve components plus vertical lines; atoms are unrepresentable."""
+    """Antidiagonals, graphs and vertical lines; atoms are unrepresentable.
 
-    curves: tuple = ()
-    lines: tuple = ()
-    tail_bound: float = 0.0
+    The antidiagonals are read-only float columns, kept in the order given:
+    the etas' canonical angles and their weights, finite and >= 0.  curves=
+    moves the antidiagonals among its CurveComponents into the columns,
+    after those given; any other curve or line raises TypeError."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "curves", tuple(self.curves))
-        object.__setattr__(self, "lines", tuple(self.lines))
-        if self.tail_bound < 0 or not math.isfinite(self.tail_bound):
+    thetas: np.ndarray
+    weights: np.ndarray
+    graphs: tuple
+    lines: tuple
+    tail_bound: float
+
+    def __init__(self, curves=(), lines=(), tail_bound: float = 0.0, *, thetas=(), weights=()):
+        curves, lines = tuple(curves), tuple(lines)
+        if not all(isinstance(comp, CurveComponent) for comp in curves):
+            raise TypeError("curves must be CurveComponents")
+        if not all(isinstance(line, LineComponent) for line in lines):
+            raise TypeError("lines must be LineComponents")
+        antidiagonals = [comp for comp in curves if isinstance(comp.kind, Antidiagonal)]
+        # np.concatenate raises ValueError for a column that is not 1D
+        thetas = np.concatenate([thetas, [c.kind.eta.theta for c in antidiagonals]], dtype=float)
+        weights = np.concatenate([weights, [c.weight for c in antidiagonals]], dtype=float)
+        if thetas.shape != weights.shape:
+            raise ValueError("thetas and weights must be 1D columns of equal length")
+        if not (np.isfinite(thetas).all() and ((weights >= 0) & np.isfinite(weights)).all()):
+            raise ValueError("antidiagonal angles must be finite, their weights finite and >= 0")
+        if tail_bound < 0 or not math.isfinite(tail_bound):
             raise ValueError("tail_bound must be finite and nonnegative")
+        thetas = _canonical_angles(thetas)
+        thetas.flags.writeable = weights.flags.writeable = False
+        graphs = tuple(comp for comp in curves if not isinstance(comp.kind, Antidiagonal))
+        # frozen: the fields are written to the instance dict directly
+        vars(self).update(thetas=thetas, weights=weights, graphs=graphs, lines=lines,
+                          tail_bound=tail_bound)
 
     @cached_property
-    def _antidiagonal_block(self) -> tuple:
-        """(etas, weights, other_curves): antidiagonals batched as read-only
-        arrays and the remaining curves, built once per immutable measure
-        since the split evaluates each eta."""
-        etas, weights, others = [], [], []
-        for comp in self.curves:
-            if isinstance(comp.kind, Antidiagonal):
-                etas.append(comp.kind.eta.value)
-                weights.append(comp.weight)
-            else:
-                others.append(comp)
-        etas = np.array(etas, dtype=complex)
-        weights = np.array(weights, dtype=float)
+    def curves(self) -> tuple:
+        """The antidiagonals as CurveComponents in column order, then the graphs."""
+        antidiagonals = (CurveComponent(Antidiagonal(TorusPoint(t)), w)
+                         for t, w in zip(self.thetas.tolist(), self.weights.tolist()))
+        return (*antidiagonals, *self.graphs)
+
+    @cached_property
+    def _etas(self) -> np.ndarray:
+        """The etas e^{i theta} as a read-only complex column, made once."""
+        etas = np.exp(1j * self.thetas)
         etas.flags.writeable = False
-        weights.flags.writeable = False
-        return etas, weights, tuple(others)
+        return etas
 
 
 def _component_nodes(curves, lines, zeta: np.ndarray):

@@ -41,7 +41,6 @@ from .product2d import PRODUCT_TRUNCATION, ProductInner, _product_fiber
 from .rif2d import RIF_n1, _boundary_values
 from .torus_core import (
     TWO_PI,
-    Antidiagonal,
     ClarkMeasure2D,
     IntegralResult,
     QuadratureGrid,
@@ -319,22 +318,22 @@ def _antidiagonal_poisson(etas, weights):
     return at
 
 
-def _graph_poisson(graphs, grid: QuadratureGrid):
-    """(z1, z2) -> (value, grid-halving estimate) of the graphs' Poisson integral.
+def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid):
+    """(z1, z2) -> (value, grid-halving estimate) of mu's graphs' Poisson integral.
 
     The node quadrature of integrate_measure2d over the graph components,
-    with its bits, in real arithmetic over rows made once: the grid's real
-    and imaginary parts (shared by every integrator on grid), each graph's
-    second coordinate as real and imaginary rows and its weight W, and
-    three scratch rows.  A point puts
-    P_{z1} in one scratch row and, per graph, P_{z2} in another, multiplies
-    that in place by P_{z1} and W and takes its periodic_means; only the
-    sums of periodic_means allocate.  The caller adds the tail term, so no
-    sup of the integrand is taken.
+    with its bits and its component indices in mu.curves, in real
+    arithmetic over rows made once: the grid's real and imaginary parts
+    (shared by every integrator on grid), each graph's second coordinate as
+    real and imaginary rows and its weight W, and three scratch rows.  A
+    point puts P_{z1} in one scratch row and, per graph, P_{z2} in another,
+    multiplies that in place by P_{z1} and W and takes its periodic_means;
+    only the sums of periodic_means allocate.  The caller adds the tail
+    term, so no sup of the integrand is taken.
     """
     x, y = grid._circle_rows
     rows = []
-    for _, _, z2, weight in _component_nodes(graphs, (), grid.points()):
+    for _, _, z2, weight in _component_nodes(mu.graphs, (), grid.points()):
         rows.append((np.ascontiguousarray(z2.real), np.ascontiguousarray(z2.imag), weight))
     kernel1, kernel2, tmp = np.empty((3, grid.n_nodes))
 
@@ -342,7 +341,7 @@ def _graph_poisson(graphs, grid: QuadratureGrid):
         means, estimates = [], []
         with np.errstate(all="ignore"):
             _poisson_into(x, y, z1, kernel1, tmp)
-            for idx, (u, v, weight) in enumerate(rows):
+            for idx, (u, v, weight) in enumerate(rows, start=len(mu.thetas)):
                 _poisson_into(u, v, z2, kernel2, tmp)
                 np.multiply(kernel1, kernel2, out=kernel2)
                 np.multiply(kernel2, weight, out=kernel2)
@@ -369,18 +368,17 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     otherwise.  A point off the open bidisc raises ValueError.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    etas, weights, graphs = mu._antidiagonal_block
-    antidiagonal = _antidiagonal_poisson(etas, weights)
-    graph_poisson = _graph_poisson(graphs, grid) if graphs else None
+    antidiagonal = _antidiagonal_poisson(mu._etas, mu.weights)
+    graph_poisson = _graph_poisson(mu, grid) if mu.graphs else None
     taus = np.array([line.tau.value for line in mu.lines], dtype=complex)
     constants = np.array([line.constant for line in mu.lines], dtype=float)
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
-        value = antidiagonal(z1 * z2) if len(etas) else 0.0
+        value = antidiagonal(z1 * z2) if len(mu.thetas) else 0.0
         error = 0.0
         if mu.tail_bound:
-            if not (graphs or mu.lines):
+            if not (mu.graphs or mu.lines):
                 error += mu.tail_bound * _poisson_sup(z1 * z2)
             else:
                 error += mu.tail_bound * _poisson_sup(z1) * _poisson_sup(z2)
@@ -538,10 +536,9 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha, exemptions=
     """
     alpha_value = _as_alpha(alpha).alpha
     zeta = np.exp(1j * np.mod(0.37 + TWO_PI * np.arange(16) / 16, TWO_PI))
-    firsts, seconds = [], []
-    for comp in mu.curves:
-        if isinstance(comp.kind, Antidiagonal) and comp.weight == 0.0:
-            continue
+    antidiagonals = mu._etas[mu.weights > 0, None] * np.conj(zeta)
+    firsts, seconds = [np.tile(zeta, len(antidiagonals))], [antidiagonals.ravel()]
+    for comp in mu.graphs:
         z2 = comp.second_coordinate(zeta)
         defined = np.isfinite(z2)
         firsts.append(zeta[defined])
@@ -549,9 +546,9 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha, exemptions=
     for line in mu.lines:
         firsts.append(np.full(len(zeta), line.tau.value))
         seconds.append(zeta)
-    if not firsts:
-        return ()
     z1, z2 = np.concatenate(firsts), np.concatenate(seconds)
+    if not len(z1):
+        return ()
     deviation = np.abs(boundary_map.array(z1, z2) - alpha_value)
     exempt = np.zeros(len(z1), dtype=bool)
     for pair in exemptions:
@@ -576,8 +573,8 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
         raise ValueError("kmax must be >= 1")
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     zeta = grid.points()
-    etas, weights, graphs = mu._antidiagonal_block
-    graph_data = [(g, w) for _, _, g, w in _component_nodes(graphs, (), zeta)]
+    etas, weights = mu._etas, mu.weights
+    graph_data = [(g, w) for _, _, g, w in _component_nodes(mu.graphs, (), zeta)]
 
     moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
     moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
@@ -599,15 +596,11 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
     ]
     entries = []
     for k1, k2 in pairs:
-        val = 0j
-        val_half = 0j
-        if len(etas):
-            a = eta_moments[k2]
-            val += a * moments[k2 - k1]
-            val_half += a * moments_half[k2 - k1]
-        for g, w in graph_data:
+        a = eta_moments[k2]
+        val, val_half = a * moments[k2 - k1], a * moments_half[k2 - k1]
+        for idx, (g, w) in enumerate(graph_data, start=len(etas)):
             with np.errstate(all="ignore"):
-                full, half = periodic_means(w * zeta ** (-k1) * g ** (-k2))
+                full, half = periodic_means(w * zeta ** (-k1) * g ** (-k2), component_index=idx)
             val += complex(full)
             val_half += complex(half)
         for line in mu.lines:

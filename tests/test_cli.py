@@ -24,7 +24,12 @@ from clark_measures.torus_core import (
     LineComponent,
     TorusPoint,
 )
-from clark_measures.verify import IdentityResidual, VerificationReport
+from clark_measures.verify import (
+    SUPPORT_TOL,
+    IdentityResidual,
+    VerificationReport,
+    product_boundary_map,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -41,6 +46,7 @@ def specs(tmp_path_factory):
         "example36": {"p1": [[4, 0], [-3, 0], [1, 0]], "p2": [[-1, 0], [-1, 0]], "n": 2},
         "prod_expexp": {"phi": EXP_SPEC, "psi": EXP_SPEC},
         "prod_blaschke_exp": {"phi": EXP_SPEC, "psi": BPAIR_SPEC},
+        "prod_pair_exp": {"phi": BPAIR_SPEC, "psi": EXP_SPEC},
         "infinite_mass": {"singular_atoms": [{"angle": 0.0, "mass": math.inf}]},
         "unknown_key": {"monomial": 1, "bogus": 2},
     }
@@ -348,6 +354,27 @@ class TestEmission:
         for thetas in per_component.values():
             assert len(thetas) == 255
             assert 0.0 not in thetas
+
+    def test_pair_exp_rows_are_the_exp_pair_rows_transposed(self, capsys, specs):
+        # only exp x Blaschke has a closed-form branch family; the level set
+        # of Blaschke x exp is its transpose
+        args = ("--alpha", "0.785398", "--N", "256")
+        code, out, _ = run_cli(capsys, "product", "--input", specs["prod_pair_exp"], *args)
+        assert code == 0
+        _, reference, _ = run_cli(capsys, "product", "--input", specs["prod_blaschke_exp"], *args)
+        swapped = []
+        for line in reference.splitlines()[1:]:
+            cid, t1, t2, w = line.split(",")
+            swapped.append(",".join((cid, t2, t1, w)))
+        lines = out.splitlines()
+        assert lines[0] == "component_id,theta1,theta2,weight"
+        assert lines[1:] == swapped
+        rows = np.array([r[1:] for r in csv_rows(out)])
+        sampled = rows[(rows[:, 2] > 0) & (np.arange(len(rows)) % 7 == 0)]
+        assert len(sampled) > 50
+        values = product_boundary_map(cli._load_product(specs["prod_pair_exp"])).array(
+            np.exp(1j * sampled[:, 0]), np.exp(1j * sampled[:, 1]))
+        assert np.abs(values - cmath.exp(0.785398j)).max() <= SUPPORT_TOL
 
     def test_rif_csv_exceptional_line(self, capsys, specs):
         code, out, _ = run_cli(capsys, "rif", "--input", specs["example36"],
@@ -736,6 +763,17 @@ class TestPlot:
         assert code == 0
         ids = {r[0] for r in csv_rows((tmp_path / "branches.csv").read_text())}
         assert ids == {f"alpha0:curve{i}" for i in range(5)}
+
+    def test_pair_exp_plot_is_the_product_output(self, capsys, specs, tmp_path):
+        base = tmp_path / "pair"
+        code, _, _ = run_cli(capsys, "plot", "--product", specs["prod_pair_exp"],
+                             "--alpha", "0.785398", "--N", "256", "--output", str(base))
+        assert code == 0
+        _, product, _ = run_cli(capsys, "product", "--input", specs["prod_pair_exp"],
+                                "--alpha", "0.785398", "--N", "256")
+        plotted = (tmp_path / "pair.csv").read_text().splitlines()
+        assert plotted[1:] == ["alpha0:" + row for row in product.splitlines()[1:]]
+        ET.fromstring((tmp_path / "pair.svg").read_text())
 
     def test_embed_plot(self, capsys, specs, tmp_path):
         base = tmp_path / "anti"

@@ -265,6 +265,79 @@ class TestDiscreteMeasure1D:
         assert mu.thetas[0] == 0.0 and mu.thetas.max() < TWO_PI
 
 
+class TestClarkMeasure2DColumns:
+    """The antidiagonal family of a 2D measure as angle and weight columns."""
+
+    @staticmethod
+    def graph():
+        return CurveComponent(Graph(np.conj), lambda z: np.ones(z.shape))
+
+    @pytest.mark.parametrize("thetas, weights", [
+        ([0.5, math.nan], [1.0, 1.0]),
+        ([math.inf], [1.0]),
+        ([0.5], [-1e-300]),
+        ([0.5], [math.nan]),
+        ([0.5], [math.inf]),
+        ([0.5, 1.0], [1.0]),
+        ([[0.5]], [[1.0]]),
+    ])
+    def test_rejects_bad_columns(self, thetas, weights):
+        with pytest.raises(ValueError):
+            ClarkMeasure2D(thetas=thetas, weights=weights)
+
+    def test_zero_weight_is_accepted(self):
+        mu = ClarkMeasure2D(thetas=[1.0], weights=[0.0])
+        assert mu.weights.tolist() == [0.0] and mu.curves[0].weight == 0.0
+
+    def test_given_order_is_kept_and_columns_are_read_only(self):
+        raw = np.array([0.0, math.pi, math.pi / 2, -0.25])
+        weights = np.array([0.4, 0.6, 1.5, 0.1])
+        mu = ClarkMeasure2D(thetas=raw, weights=weights)
+        assert mu.thetas.tolist() == [canonical_angle(t) for t in raw.tolist()]
+        assert mu.weights.tolist() == weights.tolist()
+        for column in (mu.thetas, mu.weights):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+        weights[0] = 9.0  # the measure holds its own copy
+        assert mu.weights[0] == 0.4
+
+    def test_curves_are_derived_from_the_columns(self):
+        given = (CurveComponent(Antidiagonal(TorusPoint(2.0)), 0.5), self.graph(),
+                 CurveComponent(Antidiagonal(TorusPoint(-1.0)), 0.0))
+        mu = ClarkMeasure2D(curves=given, thetas=[0.25], weights=[0.75])
+        assert "curves" not in mu.__dict__
+        assert mu.thetas.tolist() == [0.25, 2.0, TWO_PI - 1.0]
+        assert mu.weights.tolist() == [0.75, 0.5, 0.0]
+        assert mu.graphs == (given[1],)
+        # the antidiagonals in column order, then the graphs
+        curves = mu.curves
+        assert [c.kind.eta.theta for c in curves[:3]] == mu.thetas.tolist()
+        assert [c.weight for c in curves[:3]] == mu.weights.tolist()
+        assert all(isinstance(c.kind, Antidiagonal) for c in curves[:3])
+        assert curves[3] is given[1] and len(curves) == 4
+        assert mu.curves is curves
+
+    def test_rebuilt_from_its_curves_it_has_the_same_columns(self):
+        mu = ClarkMeasure2D(thetas=[3.0, 0.1], weights=[0.2, 0.3], tail_bound=0.5)
+        again = ClarkMeasure2D(curves=mu.curves, tail_bound=mu.tail_bound)
+        assert again.thetas.tobytes() == mu.thetas.tobytes()
+        assert again.weights.tobytes() == mu.weights.tobytes()
+
+    def test_compares_by_identity(self):
+        a, b = (ClarkMeasure2D(thetas=[1.0], weights=[1.0]) for _ in range(2))
+        assert a == a and a != b
+
+    def test_rejects_misplaced_components(self):
+        line = LineComponent(TorusPoint(0.0), 0.5)
+        with pytest.raises(TypeError):
+            ClarkMeasure2D(curves=(line,))
+        with pytest.raises(TypeError):
+            ClarkMeasure2D(lines=(self.graph(),))
+        with pytest.raises(TypeError):
+            ClarkMeasure2D(curves=(Antidiagonal(TorusPoint(0.0)),))
+
+
 class TestIntegrateMeasure2D:
     def test_unit_antidiagonal_constant(self):
         mu = ClarkMeasure2D(curves=(CurveComponent(Antidiagonal(TorusPoint(0.0)), 1.0),))

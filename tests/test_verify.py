@@ -32,10 +32,16 @@ from clark_measures.product2d import (
     product_branch_measure,
     product_clark_integrate,
 )
-from clark_measures import rif2d, verify
+from clark_measures import cli, rif2d, verify
 from clark_measures.inner1d import Unimodular, boundary_value
 from clark_measures.rif2d import singularities
-from clark_measures.torus_core import pairwise_sum, poisson_kernel
+from clark_measures.torus_core import (
+    TWO_PI,
+    Antidiagonal,
+    QuadratureError,
+    pairwise_sum,
+    poisson_kernel,
+)
 from clark_measures.verify import (
     EMBED_BASE_REL,
     FOURIER_BASE_TOL,
@@ -680,6 +686,70 @@ class TestReport:
         data["passed"] = False
         with pytest.raises(ValueError):
             VerificationReport.from_json_dict(data)
+
+
+class TestAntidiagonalColumns:
+    """The checks read a measure's antidiagonal columns, not its curves view."""
+
+    @staticmethod
+    def column_and_object_forms():
+        etas, weights = [0.3, 2.5, 5.9, 0.0], [0.25, 0.0, 0.5, 0.125]
+        graph = CurveComponent(Graph(lambda z: np.conj(z) ** 2), lambda z: np.abs(z - 1) ** 2 / 4)
+        objects = tuple(CurveComponent(Antidiagonal(TorusPoint(t)), w)
+                        for t, w in zip(etas, weights))
+        return (ClarkMeasure2D(curves=(graph,), thetas=etas, weights=weights, tail_bound=1e-3),
+                ClarkMeasure2D(curves=objects + (graph,), tail_bound=1e-3))
+
+    def test_columns_and_objects_give_the_same_bits(self):
+        columns, objects = self.column_and_object_forms()
+        grid = QuadratureGrid(256)
+        alpha = UnimodularConstant.from_nu(0.3)
+        boundary_map = embedding_boundary_map(IDENT, 2)
+        a, b = measure_integrator(columns, grid), measure_integrator(objects, grid)
+        for z in sample_test_points(2, 10):
+            assert a(z) == b(z)
+        assert fourier_rp_check(columns, 3, grid) == fourier_rp_check(objects, 3, grid)
+        samples = support_inclusion_check(columns, boundary_map, alpha)
+        assert len(samples) == 3 * 16 + 16
+        assert samples == support_inclusion_check(objects, boundary_map, alpha)
+
+        def raw(comp):
+            return comp.cid, comp.nodes.tobytes(), *(
+                None if c is None else np.asarray(c).tobytes() for c in comp[2:])
+
+        thetas = TWO_PI * np.arange(64) / 64
+        got = [raw(c) for c in cli._measure_components(columns, thetas)]
+        assert got == [raw(c) for c in cli._measure_components(objects, thetas)]
+        assert [cid for cid, *_ in got] == [f"curve{i}" for i in range(5)]
+
+    def test_component_index_is_the_index_in_curves(self):
+        # paths that sample the graph report its index in mu.curves, which
+        # lists the antidiagonals first
+        undefined = CurveComponent(Graph(lambda z: np.full(z.shape, np.nan, complex)),
+                                   lambda z: np.ones(z.shape))
+        mu = ClarkMeasure2D(curves=(CurveComponent(Antidiagonal(TorusPoint(0.5)), 1.0),
+                                    undefined))
+        grid = QuadratureGrid(256)
+        z = (0.1 + 0.2j, -0.3j)
+        with pytest.raises(QuadratureError) as generic:
+            integrate_measure2d(mu, poisson_f(*z), grid)
+        with pytest.raises(QuadratureError) as closed_form:
+            measure_integrator(mu, grid)(z)
+        with pytest.raises(QuadratureError) as fourier:
+            fourier_rp_check(mu, 1, grid)
+        assert [e.value.component_index for e in (generic, closed_form, fourier)] == [1, 1, 1]
+
+    def test_the_verify_path_never_builds_the_curves_view(self):
+        alpha = UnimodularConstant.one()
+        mu = embed_clark2d(EXP, alpha, K=10000)
+        rule = embedding_map(EXP, 2)
+        integrate = measure_integrator(mu, GRID)
+        integrate((0.3 + 0.1j, -0.2j))
+        total_mass_check(mu, rule, alpha, integrate=integrate)
+        fourier_rp_check(mu, 2, GRID)
+        samples = support_inclusion_check(mu, embedding_boundary_map(EXP, 2), alpha)
+        assert len(samples) == 16 * 20001
+        assert "curves" not in mu.__dict__
 
 
 class TestGraphPassAllocation:
