@@ -30,7 +30,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -488,15 +488,19 @@ def _cmd_verify(spec: CommandSpec) -> int:
         branches = None
         if window >= 2:
             try:
-                branches = product_branch_measure(P, alpha, K=window)
+                branches, swap = _product_branches(P, alpha, window)
             except UnsupportedFunctionError:
-                branches = None
+                pass
         if branches is not None:
+            # a swapped family is checked on the transposed product Q
+            Q = ProductInner(P.psi, P.phi) if swap else P
             exempt = [(xi, chi)
-                      for xi, _ in P.phi.singular_atoms
-                      for chi, _ in P.psi.singular_atoms]
+                      for xi, _ in Q.phi.singular_atoms
+                      for chi, _ in Q.psi.singular_atoms]
             support = _compute(lambda: support_inclusion_check(
-                branches, product_boundary_map(P), alpha, exemptions=exempt))
+                branches, product_boundary_map(Q), alpha, exemptions=exempt))
+            if swap:
+                support = tuple(replace(s, point=s.point[::-1]) for s in support)
     else:
         R = _load_rif(spec.input)
         rule = rif_map(R)

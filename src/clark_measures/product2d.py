@@ -18,13 +18,14 @@ The fiber geometry depends only on (P, alpha, grid, K), so each path builds
 it once, as a fiber object.  A Blaschke fiber caches its companion-matrix
 roots and weights.  A singular fiber keeps only per-level data: its levels,
 the shifts 2 pi k and the truncation remainders (for the full and the half
-window).  Its generic pass forms the atoms and Lorentzian weights one chunk
-of rows at a time, in a buffer made once per fiber, so no (2K+1) x N array
-is held.  An integrand f_1(z_1) f_2(z_2) then costs one pass over the fiber
-per factor, of f on that factor alone, and one weighted sum over the outer
-nodes.  On a singular fiber the Poisson kernel and the monomials w^-m have
-closed-form passes (poisson_profile, moment_profiles); any other f takes
-the generic pass, which the tests keep as their oracle.
+window), from window sums taken by the near/far split below as the Poisson
+pass at z = 0.  Its generic pass forms the atoms and Lorentzian weights one
+chunk of rows at a time, in a buffer made once per fiber, so no (2K+1) x N
+array is held.  An integrand f_1(z_1) f_2(z_2) then costs one pass over the
+fiber per factor, of f on that factor alone, and one weighted sum over the
+outer nodes.  On a singular fiber the Poisson kernel and the monomials w^-m
+have closed-form passes (poisson_profile, moment_profiles); any other f
+takes the generic pass, which the tests keep as their oracle.
 
 A closed-form pass sums the same window |k| <= K by a near/far split.  Each
 term is a rational function of the level with its poles at distance |a_k|
@@ -33,8 +34,9 @@ eight half-widths of the range, are summed directly.  The far rows' sum is
 analytic over the range, so it is one Taylor expansion about its centre.
 Its coefficients are power sums of the a_k, and its order M is the least
 that makes every far ratio (half-width/|a_k|)^M at most 2^-64.  A point then
-costs O((near rows + M) N + K M) instead of O(K N).  The expansion's proven
-remainder travels with the sums, and combine adds it to the reported bound.
+costs O((near rows + M) N + K M) instead of O(K N), and so does a build.
+The expansion's proven remainder, and that of the truncation remainders,
+travel with every profile, and combine adds them to the reported bound.
 Summing over all k in closed form instead would be the fiber factor's
 Herglotz identity, the very identity the Poisson check tests, so it stays a
 test oracle.
@@ -511,9 +513,9 @@ class _LorentzFiber:
     weights lor_kj = 2c/(c^2 + y^2), y = base_j + 2 pi k.  The omitted weight
     wrapped(base_j) - sum_k lor_kj, for the full and for the half window, is
     put at xi, where the omitted atoms accumulate.  Only per-level data is
-    kept: base, the shifts 2 pi k and the two remainders.  The generic pass
-    sums() forms y one chunk of rows at a time in a buffer made once per
-    fiber, so no (2K+1) x N array is held.
+    kept: base, the shifts 2 pi k, the two remainders and rem_bound.  The
+    generic pass sums() forms y one chunk of rows at a time in a buffer made
+    once per fiber, so no (2K+1) x N array is held.
 
     The closed-form passes (poisson_sums, moment_sums) sum the same truncated
     window, split in two by _far_field.  The few near rows, whose poles lie
@@ -523,6 +525,9 @@ class _LorentzFiber:
     its proven remainder is returned with the sums.  This is not the all-k
     closed form of the fiber (its Herglotz identity, which the tests keep as
     an oracle): the window and its remainders are those of sums().
+    The build sums the weights lor_kj the same way (the Poisson pass at
+    z = 0), so the remainders are off by at most that pass's rem_bound, and
+    every pass, sums() too, adds rem_bound max|f(xi)| to its bound.
     Since every pass writes the buffer, one fiber serves one thread.
     """
 
@@ -533,15 +538,7 @@ class _LorentzFiber:
         shape = (max(rows.stop - rows.start for rows, _ in self.chunks), len(base))
         self._y = np.empty(shape)
         wrapped = _wrapped_lorentz(c, base)
-
-        def lor(rows):
-            # _lorentz(c, y) in place, so a build allocates nothing chunk-sized
-            y = self._levels(rows, base)
-            np.multiply(y, y, out=y)
-            np.add(c * c, y, out=y)
-            return np.divide(2.0 * c, y, out=y)
-
-        full, half = self._window_sums(lor)
+        full, half, self.rem_bound = self._lorentz_window(base, c)
         self.rem_full = wrapped - full
         self.rem_half = wrapped - half
 
@@ -560,7 +557,8 @@ class _LorentzFiber:
         return inside + outside, inside
 
     def sums(self, f):
-        """Full- and half-window sums sum_k lor_k f(eta_k) + rem f(xi) per level.
+        """Full- and half-window sums sum_k lor_k f(eta_k) + rem f(xi) per
+        level, and the bound rem_bound max|f(xi)| of the remainders' error.
 
         f maps a block of fiber points to values, and it is evaluated one
         chunk of rows at a time.  A level where f is not finite at some atom
@@ -575,7 +573,8 @@ class _LorentzFiber:
         with np.errstate(all="ignore"):
             corner = f(np.full((1, len(self.base)), xi))[0]
             full, half = self._window_sums(term)
-            return full + self.rem_full * corner, half + self.rem_half * corner
+            return (full + self.rem_full * corner, half + self.rem_half * corner,
+                    self.rem_bound * _peak(corner))
 
     def _far_field(self, levels, im, reach, orders):
         """Near/far split of the window for terms in powers of 1/(y - i im).
@@ -604,22 +603,32 @@ class _LorentzFiber:
         return levels - centre, chunks, M, sums, bounds
 
     def poisson_sums(self, z: complex):
-        """sums(P_z) in closed form, with the bound of its far-field remainder.
+        """sums(P_z) in closed form, with the bound of its far-field and
+        truncation remainders.
 
         lor P_z(eta) = 2q/((y - p)^2 + q^2): |(xi - z) y + ic(xi + z)|^2 =
         |xi - z|^2 ((y - p)^2 + q^2) with p - iq = -ic(xi + z)/(xi - z), so
         q = c (1 - |z|^2)/|xi - z|^2 > 0 and each term is one shifted
-        Lorentzian in u = y - p, 2 Im 1/(u - iq).  Near rows are formed in
-        place with no complex eta and no cancellation; the far rows' sum is
-        2 Im of the expansion of sum_far 1/(x + a_k) (_far_field), a real
-        polynomial in x.  Returns (full, half, bound), bound on the
-        expansion's remainder at every level of either window.
+        Lorentzian in u = y - p, summed with no complex eta by
+        _lorentz_window.  Returns (full, half, bound), bound on the
+        expansion's remainder at every level of either window plus
+        rem_bound P_z(xi), the error of the remainders' term.
         """
         xi = self.xi
         d2 = abs(xi - z) ** 2
         p = 2.0 * self.c * (z * xi.conjugate()).imag / d2
         q = self.c * (1.0 - abs(z) ** 2) / d2
-        u = self.base - p
+        full, half, bound = self._lorentz_window(self.base - p, q)
+        corner = poisson_kernel(z, xi)
+        return (full + self.rem_full * corner, half + self.rem_half * corner,
+                bound + self.rem_bound * corner)
+
+    def _lorentz_window(self, u, q: float):
+        """Full- and half-window sums of 2q/(y^2 + q^2) = 2 Im 1/(y - iq),
+        y = u + 2 pi k, per level u, and the bound of their far-field
+        remainder.  Near rows are formed in place, with no cancellation; the
+        far rows' sum is 2 Im of the expansion of sum_far 1/(x + a_k)
+        (_far_field), a real polynomial in x."""
         x, chunks, M, sums, bounds = self._far_field(u, q, 0.0, 1)
         inside, outside, part = np.zeros(len(u)), np.zeros(len(u)), np.empty(len(u))
         for rows, is_inside in chunks:
@@ -630,14 +639,11 @@ class _LorentzFiber:
             acc = inside if is_inside else outside
             acc += np.add.reduce(y, axis=0, out=part)
         far = _horner(2.0 * _series_coef(sums, 1, M).imag, x)
-        corner = poisson_kernel(z, xi)
-        full = inside + outside + far[0] + self.rem_full * corner
-        half = inside + far[1] + self.rem_half * corner
-        return full, half, 2.0 * bounds[0]
+        return inside + outside + far[0], inside + far[1], 2.0 * bounds[0]
 
     def moment_sums(self, kmax: int):
         """{m: sums(lambda w: w ** -m)} for m = +-1..+-kmax, in one pass, each
-        with the bound of its far-field remainder.
+        with the bound of its far-field and truncation remainders.
 
         sigma = eta conj(xi) = (1 - c lor) + i y lor, so the profile of w^m
         is xi^m (sum_k lor sigma^m + rem).  A near row's term lor is
@@ -648,7 +654,7 @@ class _LorentzFiber:
         on the far rows 2c/(|a_k| - R) <= 1/kmax and the binomial terms add
         up to at most e times the size of their sum.  lor and rem are real,
         so the profile of w^-m is its conjugate.  Each profile is
-        (full, half, bound).
+        (full, half, bound), bound adding rem_bound (|xi^m| = 1).
         """
         c = self.c
         x, chunks, M, sums, series_bounds = self._far_field(self.base, c, 2.0 * c * kmax, kmax + 1)
@@ -667,8 +673,9 @@ class _LorentzFiber:
             full += self.rem_full
             half += self.rem_half
             total[m - 1] *= self.xi ** m
-            profiles[-m] = (full, half, bounds[m - 1])
-            profiles[m] = (np.conj(full), np.conj(half), bounds[m - 1])
+            bound = bounds[m - 1] + self.rem_bound
+            profiles[-m] = (full, half, bound)
+            profiles[m] = (np.conj(full), np.conj(half), bound)
         return profiles
 
     def _add_near_moments(self, total, chunks):
@@ -697,10 +704,11 @@ class _LorentzFiber:
 
 class _FiberProfiles:
     """Per-point profiles of a fiber quadrature: closed form on a Lorentzian
-    side, the generic profile(axis, f) on any other.  A closed-form fiber
-    profile is (full, half, bound), bound on its far-field remainder, which
-    combine adds to the reported error.  A subclass names its Lorentzian
-    side of an axis, or None, by _lorentz_side(axis)."""
+    side, the generic profile(axis, f) on any other.  A fiber profile is
+    (full, half, bound), bound on the error of its far-field and truncation
+    remainders (0 on an untruncated Blaschke fiber), which combine adds to
+    the reported error.  A subclass names its Lorentzian side of an axis, or
+    None, by _lorentz_side(axis)."""
 
     def poisson_profile(self, axis, z: complex):
         """profile(axis, P_z)."""
@@ -725,8 +733,8 @@ class _OuterFiber(_FiberProfiles):
     With one singular factor, that factor supplies the fibers, as a
     _LorentzFiber; otherwise psi does, through its companion-matrix roots
     and weights, which are cached.  fiber_sums(f) gives the full and
-    half-window fiber sums of f per node, half None for the untruncated
-    Blaschke fibers.
+    half-window fiber sums of f per node and their bound, half None and the
+    bound 0 for the untruncated Blaschke fibers.
     """
 
     def __init__(self, P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
@@ -743,7 +751,7 @@ class _OuterFiber(_FiberProfiles):
             self.fiber_sums = self.lorentz.sums
         else:
             roots, weights = _blaschke_fiber_atoms(inner, beta)
-            self.fiber_sums = lambda f: (pairwise_sum(f(roots) * weights, axis=0), None)
+            self.fiber_sums = lambda f: (pairwise_sum(f(roots) * weights, axis=0), None, 0.0)
 
     def _lorentz_side(self, axis):
         return self.lorentz if axis == self.fiber_axis else None
@@ -756,7 +764,7 @@ class _OuterFiber(_FiberProfiles):
 
     def combine(self, p0, p1) -> IntegralResult:
         outer, fiber = (p1, p0) if self.fiber_axis == 0 else (p0, p1)
-        full, half, bound = _fiber_parts(fiber)
+        full, half, bound = fiber
         with np.errstate(all="ignore"):
             res = self._outer_sum(outer * full, None if half is None else outer * half)
         return _widened(res, bound * _peak(outer))
@@ -766,7 +774,8 @@ class _OuterFiber(_FiberProfiles):
         z = self.zeta[None, :]
         g = (lambda w: f(w, z)) if self.fiber_axis == 0 else (lambda w: f(z, w))
         with np.errstate(all="ignore"):
-            return self._outer_sum(*self.fiber_sums(g))
+            full, half, bound = self.fiber_sums(g)
+            return _widened(self._outer_sum(full, half), bound)
 
     def _outer_sum(self, full, half) -> IntegralResult:
         if half is None:
@@ -779,12 +788,6 @@ class _OuterFiber(_FiberProfiles):
             step = float(np.mean(np.abs(full - half)[np.isfinite(node_sums)])) / 3.0
         value, half_grid = map(complex, periodic_means(node_sums))
         return IntegralResult(value=value, error_bound=abs(value - half_grid) + step)
-
-
-def _fiber_parts(profile):
-    """(full, half, bound) of a fiber profile: a closed-form pass carries the
-    bound of its far-field remainder, a generic one has none."""
-    return profile if len(profile) == 3 else (*profile, 0.0)
 
 
 def _peak(*arrays) -> float:
@@ -839,7 +842,7 @@ class _ExpExpFiber(_FiberProfiles):
         return self.sides[axis].sums(f)
 
     def combine(self, q, p) -> IntegralResult:
-        (q_full, q_half, q_bound), (p_full, p_half, p_bound) = map(_fiber_parts, (q, p))
+        (q_full, q_half, q_bound), (p_full, p_half, p_bound) = q, p
         res = _folded_mean(q_full * p_full, q_half * p_half)
         return _widened(res, q_bound * _peak(p_full, p_half) + p_bound * _peak(q_full, q_half)
                         + q_bound * p_bound)

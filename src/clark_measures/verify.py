@@ -434,8 +434,10 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
     over the same window |k| <= K as the generic pass: directly on the few
     rows whose poles lie near the level range, and by one Taylor expansion
     about its centre on the rest, whose proven remainder is added to the
-    point's error bound.  The sum over all k in closed form would be the
-    fiber factor's own Herglotz identity, which would make this check
+    point's error bound.  The build sums the window behind the truncation
+    remainders the same way, as that pass at z = 0, and their proven error
+    joins every point's bound.  The sum over all k in closed form would be
+    the fiber factor's own Herglotz identity, which would make this check
     circular, so it is not used.  A point's result does not depend on which
     points were evaluated before it.
     """
@@ -626,11 +628,11 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     there.  Each coefficient is instead integrated by the product path,
     whose substitution flattens the fiber oscillation; its tolerance is
     FOURIER_BASE_TOL plus the integrator's reported bound.  The fiber
-    geometry is built once per call, and the profiles of the monomials
-    w^{-m}, |m| <= kmax, of each factor once (on a singular fiber in one
-    closed-form pass, split into near and far rows as in
-    product_integrator), so every entry (k1, k2) is one outer sum over the
-    profiles of z_1^{-k1} and z_2^{-k2}.
+    geometry is built once per call, as in product_integrator, and the
+    profiles of the monomials w^{-m}, |m| <= kmax, of each factor once (on a
+    singular fiber in one closed-form pass, split into near and far rows, its
+    bound carrying the truncation remainders' error), so every entry
+    (k1, k2) is one outer sum over the profiles of z_1^{-k1} and z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

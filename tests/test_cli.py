@@ -669,6 +669,21 @@ class TestVerify:
         assert len(report.support) == 101 * 16
         assert len(report.fourier) == 128
 
+    def test_pair_exp_report_checks_the_transposed_family(self, capsys, specs):
+        # only exp x Blaschke-pair has a closed-form branch family; the pair x
+        # exp report checks that family against the transposed product and
+        # gives its samples in its own coordinates
+        args = ("--alpha", "0.785398", "--N", "1024", "--K", "50")
+        code, out, _ = run_cli(capsys, "verify", "--product", specs["prod_pair_exp"], *args)
+        assert code == 0
+        report = VerificationReport.from_json_dict(json.loads(out))
+        assert report.passed
+        assert report.support
+        assert all(s.deviation <= SUPPORT_TOL for s in report.support if not s.exempt)
+        _, out, _ = run_cli(capsys, "verify", "--product", specs["prod_blaschke_exp"], *args)
+        reference = VerificationReport.from_json_dict(json.loads(out)).support
+        assert [s.point for s in report.support] == [s.point[::-1] for s in reference]
+
     def test_failure_exits_3_with_envelope(self, capsys, specs, monkeypatch):
         failing = IdentityResidual(z=(0j, 0j), lhs=2.0, rhs=1.0,
                                    relative_error=1.0, tolerance=1e-6)
