@@ -2,52 +2,38 @@
 
 The measure integrates f by an outer quadrature in one coordinate and, at
 each node, the 1D Clark measure of the other factor at the rotated level
-beta = alpha conj(outer factor boundary value).  Three evaluation paths:
+beta = alpha conj(outer factor boundary value).  The quadrature is one fiber
+of two sides, one per coordinate, each a sum over atoms at every node: the
+grid nodes of a Blaschke outer factor (one atom of weight 1), the
+companion-matrix atoms of a Blaschke fiber, or the Lorentzian atoms of a
+single-atom singular factor, truncated at |k| <= K.  A singular factor is
+always the fiber (its closed-form atom family is uniformly accurate); for
+exp x exp both sides are Lorentzian, the outer circle unrolled to the line
+by x = c cot(theta/2) and folded back to a smooth periodic s grid.
 
-* both factors Blaschke-type: batched companion-matrix fibers,
-* exactly one atomic-singular factor: that factor is always taken as the
-  fiber (its closed-form atom family is uniformly accurate), the Blaschke
-  factor as the smooth outer coordinate,
-* both atomic-singular: the outer circle is unrolled to the real line via
-  x = c cot(theta/2), where the fiber atoms become translated Lorentzians;
-  folding the line back to [0, 2pi) gives a smooth periodic integrand with
-  closed-form wrapped-kernel truncation corrections and a Richardson step
-  in the layer count.
+A side's profile of f is (full, half, bound) per node: the sums over the
+full and the half window (half None when untruncated) and the bound of
+their remainders.  An integrand f_1(z_1) f_2(z_2) costs one profile per
+factor and one combine: the node products of the profiles, then one
+Richardson mean of full + (full - half)/3 per node, whose bound adds the
+grid-halving change and the step mean|full - half|/3.  A general f(z_1, z_2)
+is summed over each outer node's fiber jointly, or for exp x exp by a
+nested layer sum.  The fiber depends only on (P, alpha, grid, K) and is
+built once.  A Lorentzian side holds no (2K+1) x N array.  Its Poisson and
+moment profiles are closed-form passes over the same window |k| <= K, by a
+near/far split: the rows whose poles lie near the level range directly,
+the rest as one Taylor expansion, at O((near rows + M) N + K M) instead of
+O(K N) a point.  Their proven remainders travel with every profile into the
+bound.  Any other f takes the generic pass, and the all-k closed form (the
+factor's Herglotz identity, which the Poisson check tests) stays a test
+oracle.
 
-The fiber geometry depends only on (P, alpha, grid, K), so each path builds
-it once, as a fiber object.  A Blaschke fiber caches its companion-matrix
-roots and weights.  A singular fiber keeps only per-level data: its levels,
-the shifts 2 pi k and the truncation remainders (for the full and the half
-window), from window sums taken by the near/far split below as the Poisson
-pass at z = 0.  Its generic pass forms the atoms and Lorentzian weights one
-chunk of rows at a time, in a buffer made once per fiber, so no (2K+1) x N
-array is held.  An integrand f_1(z_1) f_2(z_2) then costs one pass over the
-fiber per factor, of f on that factor alone, and one weighted sum over the
-outer nodes.  On a singular fiber the Poisson kernel and the monomials w^-m
-have closed-form passes (poisson_profile, moment_profiles); any other f
-takes the generic pass, which the tests keep as their oracle.
-
-A closed-form pass sums the same window |k| <= K by a near/far split.  Each
-term is a rational function of the level with its poles at distance |a_k|
-from the centre of the level range.  The near rows, those with |a_k| under
-eight half-widths of the range, are summed directly.  The far rows' sum is
-analytic over the range, so it is one Taylor expansion about its centre.
-Its coefficients are power sums of the a_k, and its order M is the least
-that makes every far ratio (half-width/|a_k|)^M at most 2^-64.  A point then
-costs O((near rows + M) N + K M) instead of O(K N), and so does a build.
-The expansion's proven remainder, and that of the truncation remainders,
-travel with every profile, and combine adds them to the reported bound.
-Summing over all k in closed form instead would be the fiber factor's
-Herglotz identity, the very identity the Poisson check tests, so it stays a
-test oracle.
-
-Every outer or folded node mean goes through torus_core.periodic_means: a
-node whose sum is undefined (f not finite on its fiber) counts as 0, and
-more such nodes than it allows raise QuadratureError.
-
-product_clark_integrate builds a fiber per call; verify.product_integrator
-and verify.product_fourier_rp_check build one and reuse it for every
-point, every Fourier entry and the mass check.
+Every node mean goes through torus_core.periodic_means: a node whose sum is
+undefined (f not finite on its fiber) counts as 0, and more such nodes than
+it allows raise QuadratureError.  product_clark_integrate builds a fiber
+per call; verify.product_integrator and verify.product_fourier_rp_check
+build one and reuse it for every point, every Fourier entry and the mass
+check.
 
 Closed-form branch families are provided for the two classical examples
 (exp x exp and Blaschke-pair x exp) and cross-checked against the generic
@@ -58,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -142,7 +127,7 @@ class ProductInner:
     psi: InnerFunction1D
 
     def __post_init__(self):
-        _supported_factor(self.psi)
+        self.kinds()
 
     def kinds(self):
         return _supported_factor(self.phi), _supported_factor(self.psi)
@@ -702,96 +687,73 @@ class _LorentzFiber:
                         sums[1] += term
 
 
-class _FiberProfiles:
-    """Per-point profiles of a fiber quadrature: closed form on a Lorentzian
-    side, the generic profile(axis, f) on any other.  A fiber profile is
-    (full, half, bound), bound on the error of its far-field and truncation
-    remainders (0 on an untruncated Blaschke fiber), which combine adds to
-    the reported error.  A subclass names its Lorentzian side of an axis, or
-    None, by _lorentz_side(axis)."""
+class _Atoms:
+    """A side of untruncated atoms: at node j, points[:, j] with weights
+    weights[:, j], the companion-matrix roots and weights of a Blaschke
+    fiber; or, with weights None, the grid nodes of a Blaschke outer factor,
+    one atom of weight 1 per node.  Every profile is the generic (sum of
+    weights f(points), None, 0): no window to halve and no remainder."""
+
+    def __init__(self, points, weights=None):
+        self.points, self.weights = points, weights
+
+    def sums(self, f):
+        with np.errstate(all="ignore"):
+            values = f(self.points)
+            if self.weights is not None:
+                values = pairwise_sum(values * self.weights, axis=0)
+            return values, None, 0.0
+
+    def poisson_sums(self, z: complex):
+        return self.sums(lambda w: poisson_kernel(z, w))
+
+    def moment_sums(self, kmax: int):
+        return {m: self.sums(lambda w, m=m: w ** (-m)) for m in range(-kmax, kmax + 1) if m}
+
+
+class _ProductFiber:
+    """The fiber quadrature of a product: one side per coordinate, an _Atoms
+    or a _LorentzFiber, over the same nodes.  A side's profile of f_axis is
+    (full, half, bound) per node: the full- and half-window sums, half None
+    when untruncated, and the bound of their remainders.  The profile of the
+    outer axis is the first factor of each node product."""
+
+    def __init__(self, sides, outer: int):
+        self.sides, self.outer = sides, outer
+
+    def profile(self, axis, f):
+        return self.sides[axis].sums(f)
 
     def poisson_profile(self, axis, z: complex):
-        """profile(axis, P_z)."""
-        side = self._lorentz_side(axis)
-        if side is None:
-            return self.profile(axis, lambda w: poisson_kernel(z, w))
-        return side.poisson_sums(z)
+        """profile(axis, P_z), in closed form on a Lorentzian side."""
+        return self.sides[axis].poisson_sums(z)
 
     def moment_profiles(self, axis, kmax: int):
         """{m: profile(axis, lambda w: w ** -m)} for m = +-1..+-kmax."""
-        side = self._lorentz_side(axis)
-        if side is None:
-            return {m: self.profile(axis, lambda w, m=m: w ** (-m))
-                    for m in range(-kmax, kmax + 1) if m}
-        return side.moment_sums(kmax)
-
-
-class _OuterFiber(_FiberProfiles):
-    """Outer quadrature on the grid of the Blaschke factor, with the fibers
-    of the other factor at the levels beta = alpha conj(outer boundary value).
-
-    With one singular factor, that factor supplies the fibers, as a
-    _LorentzFiber; otherwise psi does, through its companion-matrix roots
-    and weights, which are cached.  fiber_sums(f) gives the full and
-    half-window fiber sums of f per node and their bound, half None and the
-    bound 0 for the untruncated Blaschke fibers.
-    """
-
-    def __init__(self, P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
-        kinds = P.kinds()
-        self.fiber_axis = 0 if kinds == ("singular", "blaschke") else 1
-        outer, inner = (P.psi, P.phi) if self.fiber_axis == 0 else (P.phi, P.psi)
-        thetas = grid.thetas()
-        self.zeta = np.exp(1j * thetas)
-        beta = alpha.alpha * np.conj(boundary_values_array(outer, thetas))
-        self.lorentz = None
-        if "singular" in kinds:
-            a, c, xi = _exp_params(inner)
-            self.lorentz = _LorentzFiber(a - np.angle(beta), c, xi.value, K)
-            self.fiber_sums = self.lorentz.sums
-        else:
-            roots, weights = _blaschke_fiber_atoms(inner, beta)
-            self.fiber_sums = lambda f: (pairwise_sum(f(roots) * weights, axis=0), None, 0.0)
-
-    def _lorentz_side(self, axis):
-        return self.lorentz if axis == self.fiber_axis else None
-
-    def profile(self, axis, f):
-        if axis == self.fiber_axis:
-            return self.fiber_sums(f)
-        with np.errstate(all="ignore"):
-            return f(self.zeta)
+        return self.sides[axis].moment_sums(kmax)
 
     def combine(self, p0, p1) -> IntegralResult:
-        outer, fiber = (p1, p0) if self.fiber_axis == 0 else (p0, p1)
-        full, half, bound = fiber
-        with np.errstate(all="ignore"):
-            res = self._outer_sum(outer * full, None if half is None else outer * half)
-        return _widened(res, bound * _peak(outer))
+        """The integral of f_1(z_1) f_2(z_2) from the profiles of its factors.
 
-    def integrate(self, f) -> IntegralResult:
-        """Integrate a general f(z_1, z_2), evaluated on the fibers of each node."""
-        z = self.zeta[None, :]
-        g = (lambda w: f(w, z)) if self.fiber_axis == 0 else (lambda w: f(z, w))
+        A node's sums are the products of the two profiles' sums, where a
+        profile with no half window gives its full sum to both.  A profile
+        off by at most b moves a product by b times the other's peak, so the
+        bound is widened by b0 peak(p1) + b1 peak(p0) + b0 b1.
+        """
+        (fa, ha, _), (fb, hb, _) = (p0, p1) if self.outer == 0 else (p1, p0)
         with np.errstate(all="ignore"):
-            full, half, bound = self.fiber_sums(g)
-            return _widened(self._outer_sum(full, half), bound)
-
-    def _outer_sum(self, full, half) -> IntegralResult:
-        if half is None:
-            node_sums = full
-        else:
-            # per-node Richardson step in the truncation order (residual ~ 1/K^2)
-            node_sums = full + (full - half) / 3.0
-        step = 0.0
-        if half is not None:  # before periodic_means zeroes the undefined node sums
-            step = float(np.mean(np.abs(full - half)[np.isfinite(node_sums)])) / 3.0
-        value, half_grid = map(complex, periodic_means(node_sums))
-        return IntegralResult(value=value, error_bound=abs(value - half_grid) + step)
+            full, half = fa * fb, None
+            if ha is not None or hb is not None:
+                half = (fa if ha is None else ha) * (fb if hb is None else hb)
+        res = _richardson_mean(full, half)
+        moved = [b * _peak(*other[:2]) if b else 0.0 for b, other in ((p0[2], p1), (p1[2], p0))]
+        return _widened(res, moved[0] + moved[1] + p0[2] * p1[2])
 
 
 def _peak(*arrays) -> float:
-    return max(float(np.max(np.abs(a), where=np.isfinite(a), initial=0.0)) for a in arrays)
+    """max |a| over the finite entries of the arrays that are not None."""
+    return max(float(np.max(np.abs(a), where=np.isfinite(a), initial=0.0))
+               for a in arrays if a is not None)
 
 
 def _widened(res: IntegralResult, moved: float) -> IntegralResult:
@@ -802,74 +764,65 @@ def _widened(res: IntegralResult, moved: float) -> IntegralResult:
     return IntegralResult(value=res.value, error_bound=res.error_bound + 5.0 * moved / 3.0)
 
 
-def _folded_mean(full, half) -> IntegralResult:
-    """Richardson-extrapolated mean of the full- and half-window sums over the
-    folded s grid; the bound adds its grid-halving change and the step."""
-    i_full, evens = map(complex, periodic_means(full))
-    i_half, evens_half = map(complex, periodic_means(half))
-    value = i_full + (i_full - i_half) / 3.0
-    evens_r = evens + (evens - evens_half) / 3.0
-    error = abs(value - evens_r) + abs(i_full - i_half) / 3.0
-    return IntegralResult(value=value, error_bound=error)
+def _richardson_mean(full, half) -> IntegralResult:
+    """The node mean of full + (full - half)/3, the Richardson step in the
+    truncation order (a window's residual falls like 1/K^2), or of full when
+    half is None.  The bound adds the mean's grid-halving change and the
+    step mean |full - half|/3 over the defined nodes, which is at least
+    |I_full - I_half|/3.  The defined nodes are found before periodic_means
+    zeroes the rest, and the step is taken after it, so a grid with too many
+    undefined nodes raises QuadratureError first."""
+    with np.errstate(all="ignore"):
+        nodes = full if half is None else full + (full - half) / 3.0
+        defined = np.isfinite(nodes)
+        value, half_grid = map(complex, periodic_means(nodes))
+        step = 0.0 if half is None else float(np.mean(np.abs(full - half)[defined])) / 3.0
+    return IntegralResult(value=value, error_bound=abs(value - half_grid) + step)
 
 
-class _ExpExpFiber(_FiberProfiles):
-    """Both factors single-atom singular.
-
-    The outer circle is unrolled to the line and folded back onto the s
-    grid; the integral is the mean over s of the product of two Lorentzian
-    profiles, of f_1 at levels s and of f_2 at levels d0 - s.
-    """
-
-    def __init__(self, P, alpha, grid, K):
-        self.problem = (P, alpha, grid, K)
-
-    @cached_property
-    def sides(self):
-        # built on first use: a general integrand takes the nested path
-        P, alpha, grid, K = self.problem
-        a1, c1, xi1 = _exp_params(P.phi)
-        a2, c2, xi2 = _exp_params(P.psi)
-        n_s = max(1024, grid.n_nodes // 4)
-        s = TWO_PI * np.arange(n_s) / n_s
-        d0 = (a2 + a1 - alpha.nu) % TWO_PI
-        return _LorentzFiber(s, c1, xi1.value, K), _LorentzFiber(d0 - s, c2, xi2.value, K)
-
-    def _lorentz_side(self, axis):
-        return self.sides[axis]
-
-    def profile(self, axis, f):
-        return self.sides[axis].sums(f)
-
-    def combine(self, q, p) -> IntegralResult:
-        (q_full, q_half, q_bound), (p_full, p_half, p_bound) = q, p
-        res = _folded_mean(q_full * p_full, q_half * p_half)
-        return _widened(res, q_bound * _peak(p_full, p_half) + p_bound * _peak(q_full, q_half)
-                        + q_bound * p_bound)
-
-    def integrate(self, f) -> IntegralResult:
-        """A general f(z_1, z_2) takes the nested layer sum instead."""
-        P, alpha, grid, K = self.problem
-        return _integrate_expexp_general(P, alpha, f, grid, K)
-
-
-def _product_fiber(P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid, K: int):
+def _product_fiber(P: ProductInner, alpha: UnimodularConstant, grid: QuadratureGrid,
+                   K: int) -> _ProductFiber:
     """The fiber quadrature of P at alpha on grid, truncated at |k| <= K.
 
     fiber.profile(axis, f) is the part of the integral of f_1(z_1) f_2(z_2)
     that depends on f_axis alone, and fiber.combine(p0, p1) joins the two
     profiles into an IntegralResult, so a caller with many integrands of
-    one factor computes that factor's profile once.  fiber.integrate(f)
-    takes a general f(z_1, z_2).
+    one factor computes that factor's profile once.  For exp x exp the sides
+    are two _LorentzFibers on the folded s grid, at levels s and d0 - s.
+    Otherwise the outer side is the grid nodes of the Blaschke factor, and
+    the other factor is the fiber at the levels alpha conj(outer boundary
+    value).
     """
+    _check_truncation(K)
+    kinds = P.kinds()
+    if kinds == ("singular", "singular"):
+        a1, c1, xi1 = _exp_params(P.phi)
+        a2, c2, xi2 = _exp_params(P.psi)
+        n_s = max(1024, grid.n_nodes // 4)
+        s = TWO_PI * np.arange(n_s) / n_s
+        d0 = (a2 + a1 - alpha.nu) % TWO_PI
+        return _ProductFiber((_LorentzFiber(s, c1, xi1.value, K),
+                              _LorentzFiber(d0 - s, c2, xi2.value, K)), 0)
+    fiber_axis = 0 if kinds == ("singular", "blaschke") else 1
+    outer, inner = (P.psi, P.phi) if fiber_axis == 0 else (P.phi, P.psi)
+    thetas = grid.thetas()
+    beta = alpha.alpha * np.conj(boundary_values_array(outer, thetas))
+    if "singular" in kinds:
+        a, c, xi = _exp_params(inner)
+        fiber = _LorentzFiber(a - np.angle(beta), c, xi.value, K)
+    else:
+        fiber = _Atoms(*_blaschke_fiber_atoms(inner, beta))
+    nodes = _Atoms(np.exp(1j * thetas))
+    return _ProductFiber((fiber, nodes) if fiber_axis == 0 else (nodes, fiber), 1 - fiber_axis)
+
+
+def _check_truncation(K):
     if not isinstance(K, int) or K < 1:
         raise ValueError("truncation order K must be an integer >= 1")
-    if P.kinds() == ("singular", "singular"):
-        return _ExpExpFiber(P, alpha, grid, K)
-    return _OuterFiber(P, alpha, grid, K)
 
 
 def _integrate_expexp_general(P, alpha, f, grid, K):
+    _check_truncation(K)
     a1, c1, xi1 = _exp_params(P.phi)
     a2, c2, xi2 = _exp_params(P.psi)
     layers = min(K, _GENERAL_PATH_MAX_LAYERS)
@@ -913,7 +866,7 @@ def _integrate_expexp_general(P, alpha, f, grid, K):
     corner_full, corner_half = fiber_sums(np.full(n_s, xi1.value))
     total_full += (w1 - kern1_full) * corner_full
     total_half += (w1 - kern1_half) * corner_half
-    return _folded_mean(total_full, total_half)
+    return _richardson_mean(total_full, total_half)
 
 
 def product_clark_integrate(
@@ -933,7 +886,13 @@ def product_clark_integrate(
     builds the fiber geometry afresh; verify.product_integrator builds it
     once for many points.
     """
+    if f_split is None and P.kinds() == ("singular", "singular"):
+        return _integrate_expexp_general(P, alpha, f, grid, K)
     fiber = _product_fiber(P, alpha, grid, K)
     if f_split is not None:
         return fiber.combine(fiber.profile(0, f_split[0]), fiber.profile(1, f_split[1]))
-    return fiber.integrate(f)
+    # f on each outer node's fiber, summed jointly; the nodes as a (1, N) row
+    z = fiber.sides[fiber.outer].points[None, :]
+    g = (lambda w: f(z, w)) if fiber.outer == 0 else (lambda w: f(w, z))
+    full, half, bound = fiber.sides[1 - fiber.outer].sums(g)
+    return _widened(_richardson_mean(full, half), bound)

@@ -422,14 +422,14 @@ def product_integrator(P: ProductInner, alpha, grid: QuadratureGrid = None,
                        K: int = PRODUCT_TRUNCATION):
     """Poisson integrator running through the product fiber quadrature.
 
-    The fiber geometry of (P, alpha, grid, K) is built here, once, and
-    serves every point and the mass check (the point 0): the levels and
-    truncation remainders of a singular fiber factor, or the
-    companion-matrix roots and weights of a Blaschke one.  Per point the
-    integrand P_{z1}(zeta_1) P_{z2}(zeta_2) is split by factor: one pass of
-    the fiber coordinate's kernel over its atoms (for exp x exp, of each
-    factor's kernel over its Lorentzian profile), then one weighted sum over
-    the outer nodes.  On a singular fiber that pass is real and closed form,
+    The fiber of (P, alpha, grid, K) is built here, once, and serves every
+    point and the mass check (the point 0).  It has one side per coordinate:
+    the grid nodes of a Blaschke outer factor, the companion-matrix roots and
+    weights of a Blaschke fiber, or the levels and truncation remainders of a
+    Lorentzian (singular) factor.  Per point the integrand
+    P_{z1}(zeta_1) P_{z2}(zeta_2) is split by factor: one Poisson profile per
+    side, then the one combine, a node-wise product and one Richardson mean.
+    On a Lorentzian side the profile is real and closed form,
     lor P_z(eta) = 2q/((y - p)^2 + q^2) over the level coordinate y, summed
     over the same window |k| <= K as the generic pass: directly on the few
     rows whose poles lie near the level range, and by one Taylor expansion
@@ -627,12 +627,12 @@ def product_fourier_rp_check(P: ProductInner, alpha, kmax: int,
     fiber atom, so sampling the curve components on a grid cannot converge
     there.  Each coefficient is instead integrated by the product path,
     whose substitution flattens the fiber oscillation; its tolerance is
-    FOURIER_BASE_TOL plus the integrator's reported bound.  The fiber
-    geometry is built once per call, as in product_integrator, and the
-    profiles of the monomials w^{-m}, |m| <= kmax, of each factor once (on a
-    singular fiber in one closed-form pass, split into near and far rows, its
-    bound carrying the truncation remainders' error), so every entry
-    (k1, k2) is one outer sum over the profiles of z_1^{-k1} and z_2^{-k2}.
+    FOURIER_BASE_TOL plus the integrator's reported bound.  The fiber is
+    built once per call, as in product_integrator, and each side's profiles
+    of the monomials w^{-m}, |m| <= kmax, once (on a Lorentzian side in one
+    closed-form pass, split into near and far rows, its bound carrying the
+    truncation remainders' error), so every entry (k1, k2) is one combine of
+    the profiles of z_1^{-k1} and z_2^{-k2}.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

@@ -35,6 +35,7 @@ TWO_PI = 2.0 * math.pi
 
 EXP_SPEC = {"singular_atoms": [{"angle": 0.0, "mass": 1.0}]}
 BPAIR_SPEC = {"monomial": 1, "blaschke_zeros": [[0.0, 0.5]]}
+TWO_ATOMS_SPEC = {"singular_atoms": [{"angle": 0.0, "mass": 1.0}, {"angle": 2.0, "mass": 1.0}]}
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +48,8 @@ def specs(tmp_path_factory):
         "prod_expexp": {"phi": EXP_SPEC, "psi": EXP_SPEC},
         "prod_blaschke_exp": {"phi": EXP_SPEC, "psi": BPAIR_SPEC},
         "prod_pair_exp": {"phi": BPAIR_SPEC, "psi": EXP_SPEC},
+        "prod_unsupported_phi": {"phi": TWO_ATOMS_SPEC, "psi": EXP_SPEC},
+        "prod_unsupported_psi": {"phi": EXP_SPEC, "psi": TWO_ATOMS_SPEC},
         "infinite_mass": {"singular_atoms": [{"angle": 0.0, "mass": math.inf}]},
         "unknown_key": {"monomial": 1, "bogus": 2},
     }
@@ -169,6 +172,20 @@ class TestParsing:
         assert code == 1 and out == ""
         env = error_envelope(err)
         assert env["kind"] == "schema" and "finite" in env["message"]
+
+    @pytest.mark.parametrize("spec", ["prod_unsupported_phi", "prod_unsupported_psi"])
+    @pytest.mark.parametrize("args", [
+        ("verify", "--product", "{}", "--alpha", "0"),
+        ("eval", "--product", "{}", "--z", "[[0.1,0],[0.2,0]]"),
+        ("product", "--input", "{}", "--alpha", "0"),
+    ], ids=["verify", "eval", "product"])
+    def test_unsupported_product_factor_is_schema_error(self, capsys, specs, spec, args):
+        # either factor is checked when the spec is read, in either position
+        code, out, err = run_cli(capsys, *(a.format(specs[spec]) for a in args))
+        assert code == 1 and out == ""
+        env = error_envelope(err)
+        assert env["kind"] == "schema" and env["code"] == 1
+        assert "single singular atom" in env["message"]
 
 
 class TestEval:
