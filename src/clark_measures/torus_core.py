@@ -216,30 +216,46 @@ def pairwise_sum(values, axis: int = -1):
     return out[()] if out.ndim == 0 else out
 
 
+def _zero_undefined(values: np.ndarray, component_index=None) -> np.ndarray:
+    """The one rule for undefined nodes on a periodic grid, applied to each
+    row of values along its last axis of N nodes.
+
+    A NaN or infinite node counts as 0.  Undefined values only occur on
+    measure-zero sets (boundary singularities), so max(1, N // 1000) such
+    nodes are allowed in a row; more raise QuadratureError with the nodes'
+    angles and component_index.  The zeros are written into values itself
+    when it is writable, so a caller that needs its undefined nodes
+    afterwards must find them first; the zeroed array is returned.
+    """
+    bad = ~np.isfinite(values)
+    if not bad.any():
+        return values
+    n = values.shape[-1]
+    rows = bad.reshape(-1, n)
+    counts = np.count_nonzero(rows, axis=1)
+    worst = int(np.argmax(counts))
+    n_bad, allowance = int(counts[worst]), max(1, n // 1000)
+    if n_bad > allowance:
+        angles = TWO_PI * np.flatnonzero(rows[worst])[:32] / n
+        raise QuadratureError(
+            f"{n_bad} undefined nodes exceed the allowance {allowance}",
+            undefined_angles=angles.tolist(), component_index=component_index)
+    if not values.flags.writeable:
+        values = values.copy()
+    values[bad] = 0.0
+    return values
+
+
 def periodic_means(values, component_index=None):
     """Node mean and even-node (half-grid) mean over the last axis.
 
-    This is the one rule for undefined nodes on a periodic grid: a NaN or
-    infinite node counts as 0 in both means, which still divide by the full
-    node counts N and ceil(N/2).  Undefined values only occur on measure-zero
-    sets (boundary singularities), so max(1, N // 1000) such nodes are
-    allowed; more raise QuadratureError with the nodes' angles.  The zeros
-    are written into values itself when it is a writable array, so a caller
-    that needs its undefined nodes afterwards must find them first.
+    An undefined node counts as 0 in both means, under the one rule of
+    _zero_undefined (which writes the zeros into values when it is a
+    writable array); the means still divide by the full node counts N and
+    ceil(N/2).
     """
-    v = np.asarray(values)
+    v = _zero_undefined(np.asarray(values), component_index)
     n = v.shape[-1]
-    bad = ~np.isfinite(v)
-    if bad.any():
-        n_bad, allowance = int(np.count_nonzero(bad)), max(1, n // 1000)
-        if n_bad > allowance:
-            angles = tuple(TWO_PI * i[-1] / n for i in np.argwhere(bad)[:32])
-            raise QuadratureError(
-                f"{n_bad} undefined nodes exceed the allowance {allowance}",
-                undefined_angles=angles, component_index=component_index)
-        if not v.flags.writeable:
-            v = v.copy()
-        v[bad] = 0.0
     return pairwise_sum(v, axis=-1) / n, pairwise_sum(v[..., 0::2], axis=-1) / ((n + 1) // 2)
 
 
@@ -468,6 +484,20 @@ class ClarkMeasure2D:
         etas = np.exp(1j * self.thetas)
         etas.flags.writeable = False
         return etas
+
+    def _graph_nodes(self, grid: QuadratureGrid) -> tuple:
+        """(g, w) per graph: its second coordinate and weight sampled at
+        grid.points(), as read-only arrays made once per node count, so the
+        identity integrator and the Fourier check on one grid sample each
+        graph once between them."""
+        cache = vars(self).setdefault("_graph_samples", {})
+        if grid.n_nodes not in cache:
+            samples = tuple((g, w) for _, _, g, w in
+                            _component_nodes(self.graphs, (), grid.points()))
+            for g, w in samples:
+                g.flags.writeable = w.flags.writeable = False
+            cache[grid.n_nodes] = samples
+        return cache[grid.n_nodes]
 
 
 def _component_nodes(curves, lines, zeta: np.ndarray):

@@ -13,7 +13,7 @@ kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
 exactly P_{z1 ... zd}(eta).  A line {zeta_1 = tau} with constant c
 contributes c P_{z1}(tau), exactly, since P_{z2} has mean 1 on the circle.
 Graph components run the node quadrature of integrate_measure2d, with its
-bits, in real arithmetic over rows sampled once per integrator.  The
+bits, in real arithmetic over rows sampled once per measure and grid.  The
 generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
 are the independent oracle the tests pin the closed forms against.
 
@@ -30,6 +30,7 @@ field name (_FIELD_VALUES; a field not listed there is a float).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -47,8 +48,8 @@ from .torus_core import (
     TorusPoint,
     UnimodularConstant,
     _canonical_angles,
-    _component_nodes,
     _poisson_into,
+    _zero_undefined,
     pairwise_sum,
     periodic_means,
     poisson_kernel,
@@ -325,16 +326,16 @@ def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid):
     with its bits and its component indices in mu.curves, in real
     arithmetic over rows made once: the grid's real and imaginary parts
     (shared by every integrator on grid), each graph's second coordinate as
-    real and imaginary rows and its weight W, and three scratch rows.  A
+    real and imaginary rows and its weight W (from the graph's samples on
+    grid, which fourier_rp_check shares), and three scratch rows.  A
     point puts P_{z1} in one scratch row and, per graph, P_{z2} in another,
     multiplies that in place by P_{z1} and W and takes its periodic_means;
     only the sums of periodic_means allocate.  The caller adds the tail
     term, so no sup of the integrand is taken.
     """
     x, y = grid._circle_rows
-    rows = []
-    for _, _, z2, weight in _component_nodes(mu.graphs, (), grid.points()):
-        rows.append((np.ascontiguousarray(z2.real), np.ascontiguousarray(z2.imag), weight))
+    rows = [(np.ascontiguousarray(z2.real), np.ascontiguousarray(z2.imag), weight)
+            for z2, weight in mu._graph_nodes(grid)]
     kernel1, kernel2, tmp = np.empty((3, grid.n_nodes))
 
     def at(z1: complex, z2: complex) -> tuple:
@@ -361,11 +362,12 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     tau} carrying c times Lebesgue measure contributes c P_{z1}(tau) exactly,
     since the mean of P_{z2} over the circle is 1, so it adds nothing to the
     bound.  Graph components run the node quadrature of integrate_measure2d
-    over real rows sampled on grid once here (see _graph_poisson), so a
-    point costs one real, in-place kernel pass per coordinate.  The tail
-    term is tail_bound times the sup of the integrand over the omitted mass:
-    sup P_{z1 z2} when mu holds only antidiagonals, sup P_{z1} sup P_{z2}
-    otherwise.  A point off the open bidisc raises ValueError.
+    over real rows made once here from mu's samples on grid (see
+    _graph_poisson), so a point costs one real, in-place kernel pass per
+    coordinate.  The tail term is tail_bound times the sup of the integrand
+    over the omitted mass: sup P_{z1 z2} when mu holds only antidiagonals,
+    sup P_{z1} sup P_{z2} otherwise.  A point off the open bidisc raises
+    ValueError.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     antidiagonal = _antidiagonal_poisson(mu._etas, mu.weights)
@@ -563,23 +565,65 @@ def support_inclusion_check(mu: ClarkMeasure2D, boundary_map, alpha, exemptions=
     )
 
 
+def _graph_fourier_means(g, w, kmax: int, component_index: int) -> tuple:
+    """(full, half): the node and even-node means of w zeta^(-k1) g^(-k2)
+    over the grid zeta_j = e^{2 pi i j/N}, as (2 kmax, 2 kmax + 1) arrays
+    indexed [k2 - 1 or kmax - k2 - 1 (k2 < 0), k1 + kmax], |k1|, |k2| <= kmax.
+
+    The rows w g^(-k2) are running products of w with 1/g (k2 > 0) and g
+    (k2 < 0), stacked and put under the undefined-node rule once.  The sum
+    of a row against zeta^(-k1) is its discrete Fourier transform at
+    k1 mod N, so one np.fft.fft of the stack gives every k1.  The even
+    nodes' sum is (F[k] + F[k + N/2])/2 of the same transform for even N;
+    for odd N the odd nodes are zeroed and the stack transformed again.
+    """
+    n = len(g)
+    stack = np.empty((2 * kmax, n), dtype=complex)
+    with np.errstate(all="ignore"):
+        for first, step in ((0, 1.0 / g), (kmax, g)):
+            np.multiply(w, step, out=stack[first])
+            for row in range(first + 1, first + kmax):
+                np.multiply(stack[row - 1], step, out=stack[row])
+    stack = _zero_undefined(stack, component_index)
+    columns = np.arange(-kmax, kmax + 1) % n
+    transform = np.fft.fft(stack, axis=-1)
+    full = transform[:, columns] / n
+    if n % 2 == 0:
+        half = (transform[:, columns] + transform[:, (columns + n // 2) % n]) / n
+    else:
+        stack[:, 1::2] = 0.0
+        half = np.fft.fft(stack, axis=-1)[:, columns] / ((n + 1) // 2)
+    return full, half
+
+
 def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None):
     """Mixed-sign Fourier coefficients of the measure.
 
     For a Clark measure of an inner function all of them vanish; each entry's
     tolerance is FOURIER_BASE_TOL plus the measure's tail bound plus the
-    grid-halving estimate of its own quadrature.  A graph node where g or
-    the weight is undefined counts as 0, by torus_core.periodic_means.
+    grid-halving estimate of its own quadrature, |full - half|: the change
+    of the entry's node mean on the grid when only the even nodes are kept.
+    An antidiagonal or a line contributes a weight times a grid moment
+    mean(zeta^m) and its even-node mean, each taken only for the m it uses.
+    A graph's node means over every (k1, k2) come from one discrete Fourier
+    transform of its rows w g^(-k2) (see _graph_fourier_means), on the
+    graph's samples shared with measure_integrator.  A graph node where g
+    or the weight is undefined counts as 0, by the one undefined-node rule
+    of torus_core.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
-    zeta = grid.points()
     etas, weights = mu._etas, mu.weights
-    graph_data = [(g, w) for _, _, g, w in _component_nodes(mu.graphs, (), zeta)]
+    graph_means = [_graph_fourier_means(g, w, kmax, idx)
+                   for idx, (g, w) in enumerate(mu._graph_nodes(grid), start=len(etas))]
+    zeta = grid.points() if len(etas) or mu.lines else None
 
-    moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
-    moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
+    @functools.cache
+    def moment(m):
+        """mean(zeta^m) over the grid and over its even nodes."""
+        return complex(np.mean(zeta ** m)), complex(np.mean(zeta[::2] ** m))
+
     # antidiagonal moments sum_j w_j eta_j^(-k2) depend on k2 alone: running
     # products w eta^k and w conj(eta)^k, each reduced by np.sum's pairwise
     # sum, since a BLAS dot's result depends on its thread count
@@ -598,17 +642,20 @@ def fourier_rp_check(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid = None)
     ]
     entries = []
     for k1, k2 in pairs:
-        a = eta_moments[k2]
-        val, val_half = a * moments[k2 - k1], a * moments_half[k2 - k1]
-        for idx, (g, w) in enumerate(graph_data, start=len(etas)):
-            with np.errstate(all="ignore"):
-                full, half = periodic_means(w * zeta ** (-k1) * g ** (-k2), component_index=idx)
-            val += complex(full)
-            val_half += complex(half)
+        val = val_half = 0j
+        if len(etas):
+            a = eta_moments[k2]
+            full, half = moment(k2 - k1)
+            val, val_half = a * full, a * half
+        row = k2 - 1 if k2 > 0 else kmax - k2 - 1
+        for full, half in graph_means:
+            val += complex(full[row, k1 + kmax])
+            val_half += complex(half[row, k1 + kmax])
         for line in mu.lines:
             contrib = line.constant * line.tau.value ** (-k1)
-            val += contrib * moments[-k2]
-            val_half += contrib * moments_half[-k2]
+            full, half = moment(-k2)
+            val += contrib * full
+            val_half += contrib * half
         entries.append(
             FourierEntry(
                 k=(k1, k2),

@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clark_measures import cli
+from clark_measures import cli, rif2d
 from clark_measures.cli import CommandSpec, SchemaError, main
+from clark_measures.rif2d import w_alpha_values
 from clark_measures.torus_core import (
     Antidiagonal,
     ClarkMeasure2D,
@@ -667,6 +668,21 @@ class TestVerify:
                                "--alpha", nu)
         assert code == 0
         assert VerificationReport.from_json_dict(json.loads(out)).passed
+
+    @pytest.mark.parametrize("nu", ["0.785398", "3.141593"])
+    def test_rif_verify_samples_the_weight_once(self, capsys, specs, monkeypatch, nu):
+        # the identity integrator and the Fourier check share one sampling
+        # of the graph on the grid
+        calls = []
+
+        def counted(R, alpha, zeta):
+            calls.append(len(zeta))
+            return w_alpha_values(R, alpha, zeta)
+
+        monkeypatch.setattr(rif2d, "w_alpha_values", counted)
+        code, _, _ = run_cli(capsys, "verify", "--rif", specs["example36"], "--alpha", nu)
+        assert code == 0
+        assert calls == [4096]
 
     def test_embed_report(self, capsys, specs):
         code, out, _ = run_cli(capsys, "verify", "--embed", specs["monomial1"],

@@ -25,6 +25,7 @@ from clark_measures import (
     rif_clark_measure,
 )
 from clark_measures.product2d import ProductInner, product_clark_integrate
+from clark_measures.torus_core import TWO_PI
 from clark_measures.verify import measure_integrator
 
 EXP = InnerFunction1D(singular_atoms=((0.0, 1.0),))
@@ -117,3 +118,40 @@ def test_quadrature_error_is_a_value_error():
     integrate = measure_integrator(mu, QuadratureGrid(256))
     with pytest.raises(ValueError, match="2 undefined nodes exceed the allowance 1"):
         integrate((0.3 + 0.2j, 0.1 - 0.4j))
+
+
+def graph_undefined_at(nodes):
+    """The measure of graphs conj and the diagonal, the diagonal undefined
+    at nodes, and the same with the diagonal's weight 0 there instead."""
+    def g(z):
+        out = np.array(z, dtype=complex)
+        out[nodes] = np.nan
+        return out
+
+    def zeroed(z):
+        out = np.ones(z.shape)
+        out[nodes] = 0.0
+        return out
+
+    ones = lambda z: np.ones(z.shape)  # noqa: E731
+    conj = CurveComponent(Graph(np.conj), ones)
+    return (ClarkMeasure2D(curves=(conj, CurveComponent(Graph(g), ones))),
+            ClarkMeasure2D(curves=(conj, CurveComponent(Graph(lambda z: z), zeroed))))
+
+
+def test_fourier_check_allows_a_graph_its_allowance():
+    # N = 4096 allows 4 undefined nodes per graph; every row of the graph's
+    # transform stack is undefined at the same nodes
+    grid = QuadratureGrid(4096)
+    undefined, zeroed = graph_undefined_at(np.arange(4) * 700 + 3)
+    assert fourier_rp_check(undefined, 2, grid) == fourier_rp_check(zeroed, 2, grid)
+
+
+def test_fourier_check_raises_past_the_allowance():
+    grid = QuadratureGrid(4096)
+    nodes = np.arange(5) * 700 + 3
+    mu, _ = graph_undefined_at(nodes)
+    with pytest.raises(QuadratureError, match="5 undefined nodes exceed the allowance 4") as err:
+        fourier_rp_check(mu, 2, grid)
+    assert err.value.component_index == 1
+    assert err.value.undefined_angles == tuple(TWO_PI * nodes / grid.n_nodes)

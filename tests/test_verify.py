@@ -38,8 +38,11 @@ from clark_measures.rif2d import singularities
 from clark_measures.torus_core import (
     TWO_PI,
     Antidiagonal,
+    LineComponent,
     QuadratureError,
+    _component_nodes,
     pairwise_sum,
+    periodic_means,
     poisson_kernel,
 )
 from clark_measures.verify import (
@@ -537,7 +540,78 @@ class TestBoundaryMaps:
                 bmap((1.0 + 0j, 1.1 + 0j))
 
 
+def grid_fourier_oracle(mu: ClarkMeasure2D, kmax: int, grid: QuadratureGrid):
+    """fourier_rp_check by one grid pass per entry and graph: the node and
+    even-node means of w zeta^(-k1) g^(-k2) by periodic_means, with every
+    grid moment mean(zeta^m), |m| <= 2 kmax, taken up front."""
+    zeta = grid.points()
+    etas, weights = mu._etas, mu.weights
+    graph_data = [(g, w) for _, _, g, w in _component_nodes(mu.graphs, (), zeta)]
+    moments = {m: complex(np.mean(zeta ** m)) for m in range(-2 * kmax, 2 * kmax + 1)}
+    moments_half = {m: complex(np.mean(zeta[::2] ** m)) for m in moments}
+    eta_moments = {}
+    up, down, conj_etas = weights.astype(complex), weights.astype(complex), np.conj(etas)
+    for k in range(1, kmax + 1):
+        up *= etas
+        down *= conj_etas
+        eta_moments[-k], eta_moments[k] = complex(np.sum(up)), complex(np.sum(down))
+    entries = []
+    for k1 in range(-kmax, kmax + 1):
+        for k2 in range(-kmax, kmax + 1):
+            if k1 * k2 >= 0:
+                continue
+            a = eta_moments[k2]
+            val, val_half = a * moments[k2 - k1], a * moments_half[k2 - k1]
+            for idx, (g, w) in enumerate(graph_data, start=len(etas)):
+                with np.errstate(all="ignore"):
+                    full, half = periodic_means(w * zeta ** (-k1) * g ** (-k2),
+                                                component_index=idx)
+                val += complex(full)
+                val_half += complex(half)
+            for line in mu.lines:
+                contrib = line.constant * line.tau.value ** (-k1)
+                val += contrib * moments[-k2]
+                val_half += contrib * moments_half[-k2]
+            entries.append(FourierEntry(
+                k=(k1, k2), modulus=float(abs(val)),
+                tolerance=FOURIER_BASE_TOL + mu.tail_bound + float(abs(val - val_half))))
+    return tuple(entries)
+
+
+ORACLE_GRIDS = [QuadratureGrid(n) for n in (4096, 256, 255)]
+
+
 class TestFourierRP:
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"N{g.n_nodes}")
+    def test_graph_free_measures_match_the_grid_oracle_bit_for_bit(self, grid):
+        lines = ClarkMeasure2D(lines=(LineComponent(TorusPoint(0.3), 0.25),
+                                      LineComponent(TorusPoint(2.0), 0.5)))
+        for mu in (embed_clark2d(EXP, UnimodularConstant.from_nu(0.4), K=200), lines):
+            assert fourier_rp_check(mu, 8, grid) == grid_fourier_oracle(mu, 8, grid)
+
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"N{g.n_nodes}")
+    def test_graph_measures_match_the_grid_oracle(self, grid):
+        # the transform sums in another order than the grid pass, so the
+        # entries agree to rounding, not bit for bit
+        measures = [rif_clark_measure(example_rif(), UnimodularConstant.from_nu(nu))
+                    for nu in (0.0, math.pi / 4, math.pi / 2, math.pi)]
+        measures.append(product_branch_measure(ProductInner(EXP, EXP),
+                                               UnimodularConstant.from_nu(0.3), K=40))
+        for mu in measures:
+            got, want = fourier_rp_check(mu, 8, grid), grid_fourier_oracle(mu, 8, grid)
+            assert [e.k for e in got] == [e.k for e in want]
+            for e, o in zip(got, want):
+                assert abs(e.modulus - o.modulus) <= 1e-15
+                assert abs(e.tolerance - o.tolerance) <= 1e-15
+
+    @pytest.mark.parametrize("nu", [0.0, math.pi / 4, math.pi / 2, math.pi])
+    def test_entries_do_not_depend_on_kmax(self, nu):
+        mu = rif_clark_measure(example_rif(), UnimodularConstant.from_nu(nu))
+        wide = {e.k: e for e in fourier_rp_check(mu, 8, GRID)}
+        narrow = fourier_rp_check(mu, 3, GRID)
+        assert len(narrow) == 18
+        assert all(e == wide[e.k] for e in narrow)
+
     def test_monomial_embedding_orthogonality(self):
         alpha = UnimodularConstant.from_nu(0.9)
         mu = embed_clark2d(IDENT, alpha, K=1)
