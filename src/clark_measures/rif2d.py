@@ -6,6 +6,14 @@ open bidisc.  Solving phi* = alpha on the torus gives a single graph branch
 zeta -> conj(B_alpha(zeta)) weighted by W_alpha; at exceptional alpha
 (nontangential values of phi at denominator singularities on the torus) the
 measure also carries vertical Lebesgue lines.
+
+At a torus singularity (tau, gamma), phi(tau, .) is the constant
+alpha_tau = q1(tau)/p2(tau), the exceptional value (Bickel-Cima-Sola, Clark
+measures for rational inner functions).  At that level B_alpha's numerator
+and denominator have a simple root at tau, the resultant a double one, and
+the line z_1 = tau has constant |p2(tau)|^2/|A|, A = (q1' p2 - q1 p2')(tau):
+B_alpha and W_alpha are evaluated with (zeta - tau) divided out, and no limit
+is taken numerically.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ _STABILITY_ANGLES = 4096
 _STABILITY_FLOOR = 1e-10
 _ATORAL_FLOOR = 1e-10
 _TORUS_TOL = 1e-8
-_DENOMINATOR_FLOOR = 1e-14
+_LEVEL_TOL = 1e-8
 _EXCEPTIONAL_SNAP = 1e-6
 
 
@@ -118,6 +126,11 @@ def _poly_mul(a: Poly1, b: Poly1) -> Poly1:
     return Poly1(tuple(npp.polymul(np.array(a.coefficients), np.array(b.coefficients))))
 
 
+def _divide_out(q: Poly1, tau: complex) -> Poly1:
+    """The quotient of q by (z - tau), remainder dropped."""
+    return Poly1(tuple(npp.polydiv(np.array(q.coefficients), np.array([-tau, 1.0]))[0]))
+
+
 def reflect(q: Poly1, n: int) -> Poly1:
     """Degree-n reflection z^n conj(q)(1/conj(z)): conjugate-reversed coefficients."""
     if q.degree > n:
@@ -126,20 +139,6 @@ def reflect(q: Poly1, n: int) -> Poly1:
         return Poly1((0j,))
     padded = list(q.coefficients) + [0j] * (n - q.degree)
     return Poly1(tuple(c.conjugate() for c in reversed(padded)))
-
-
-def _trig_eval(corr: np.ndarray, zeta, order: int = 0):
-    """Re sum_m a_m (i m)^order zeta^m, m = -d..d, at unimodular points zeta.
-
-    corr holds a_{-d}..a_d.  On the circle the sum is conj(zeta)^d P(zeta), P
-    the polynomial with corr's coefficients, which Horner's rule evaluates.
-    """
-    d = (len(corr) - 1) // 2
-    corr = corr * (1j * np.arange(-d, d + 1)) ** order
-    z = np.asarray(zeta, dtype=complex)
-    flat = z.ravel()  # numpy's scalar complex product rounds unlike its array loop
-    out = (np.conj(flat) ** d * npp.polyval(flat, corr)).real.reshape(z.shape)
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,9 @@ class RIF_n1:
 
     @cached_property
     def _singular_limits(self) -> tuple:
-        """(tau, gamma, nontangential value of phi there) per torus singularity."""
-        return tuple((tau, gamma, _radial_limit(self, tau.value, gamma.value))
+        """(tau, gamma, alpha_tau) per torus singularity: phi(tau, .) is the
+        constant alpha_tau = q1(tau)/p2(tau), its nontangential value there."""
+        return tuple((tau, gamma, self._p1t(tau.value) / self.p2(tau.value))
                      for tau, gamma in self._singularities)
 
     @property
@@ -285,22 +285,28 @@ def rif_map(R: RIF_n1):
 class LevelRational:
     """The one-variable rational function B whose conjugate graphs the level set.
 
-    shared_torus_roots flags angles where numerator and denominator vanish
-    together (degenerate alpha at an exceptional value); the curve rule
-    returns NaN there.
+    shared_torus_roots holds the points tau where numerator and denominator
+    share a simple root on the circle (alpha an exceptional value); B is
+    evaluated with (zeta - tau) divided out of both, so it is defined there.
     """
 
     num: Poly1
     den: Poly1
     shared_torus_roots: tuple
 
+    @cached_property
+    def _reduced(self) -> tuple:
+        num, den = self.num, self.den
+        for tau in self.shared_torus_roots:
+            num, den = _divide_out(num, tau.value), _divide_out(den, tau.value)
+        return num, den
+
     def __call__(self, z):
         scalar = np.isscalar(z) or isinstance(z, complex)
         z_arr = np.asarray(z, dtype=complex)
+        num, den = self._reduced
         with np.errstate(all="ignore"):
-            num = self.num(z_arr)
-            den = self.den(z_arr)
-            out = np.where(np.abs(den) < _DENOMINATOR_FLOOR, np.nan + 0j, num / den)
+            out = num(z_arr) / den(z_arr)
         return complex(out[()]) if scalar else out
 
     @property
@@ -316,25 +322,26 @@ class LevelRational:
         return rule
 
 
+def _level_singularities(R: RIF_n1, alpha: UnimodularConstant) -> tuple:
+    """The tau of each torus singularity whose alpha_tau is within 1e-8 of alpha."""
+    return tuple(tau for tau, _, value in R._singular_limits
+                 if circle_distance(cmath.phase(value), alpha.nu) < _LEVEL_TOL)
+
+
 def b_alpha(R: RIF_n1, alpha: UnimodularConstant) -> LevelRational:
-    """B_alpha = (q1 - alpha p2)/(alpha p1 - q2), q = reflected p."""
+    """B_alpha = D/E, D = q1 - alpha p2 and E = alpha p1 - q2, q = reflected p.
+
+    D and E vanish together on the circle only at the singular points tau
+    whose alpha_tau = q1(tau)/p2(tau) is alpha, each a simple root of both
+    (D'(tau) = A/p2(tau), A != 0); those are the shared torus roots.
+    """
     num = _poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha))
     den = _poly_sub(R.p1.scale(alpha.alpha), R.p2_reflected)
-    shared = []
-    if num.degree >= 1 and den.degree >= 1:
-        for root in _root_candidates(num):
-            if abs(abs(root) - 1.0) > _TORUS_TOL:
-                continue
-            if abs(den(complex(root))) < _TORUS_TOL * max(
-                1.0, float(np.max(np.abs(np.array(den.coefficients))))
-            ):
-                shared.append(TorusPoint.from_complex(root, tol=_TORUS_TOL))
-    return LevelRational(num=num, den=den, shared_torus_roots=tuple(shared))
+    return LevelRational(num=num, den=den, shared_torus_roots=_level_singularities(R, alpha))
 
 
 def _weight_correlations(R: RIF_n1, alpha: UnimodularConstant):
-    """Laurent coefficients a_{-n}..a_n of W_alpha's numerator and denominator,
-    the coefficient form _limit_ratio differentiates where |D| vanishes.
+    """Laurent coefficients a_{-n}..a_n of W_alpha's numerator and denominator.
 
     On the circle the resultant p1 q1 - p2 q2 is zeta^n (|p1|^2 - |p2|^2), so
     the numerator's a_m is its coefficient of z^(n+m).  The denominator
@@ -344,17 +351,6 @@ def _weight_correlations(R: RIF_n1, alpha: UnimodularConstant):
     v = np.array(_poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha)).coefficients)
     v = np.pad(v, (0, R.n + 1 - len(v)))
     return np.pad(res, (0, 2 * R.n + 1 - len(res))), np.correlate(v, v, "full")
-
-
-def _limit_ratio(num_corr, den_corr, zeta: complex) -> float:
-    """lim num/den at the unimodular point zeta, where the denominator vanishes."""
-    d = (len(den_corr) - 1) // 2
-    scale = float(np.sum(np.abs(den_corr)))
-    for order in range(1, 2 * d + 1):
-        den_val = _trig_eval(den_corr, zeta, order)
-        if abs(den_val) > 1e-8 * scale * max(1.0, d) ** order:
-            return max(_trig_eval(num_corr, zeta, order) / den_val, 0.0)
-    raise RIFError(f"weight limit does not resolve at {zeta}")
 
 
 def w_alpha(R: RIF_n1, alpha: UnimodularConstant, zeta: TorusPoint) -> float:
@@ -368,23 +364,27 @@ def w_alpha_values(R: RIF_n1, alpha: UnimodularConstant, zeta) -> np.ndarray:
 
     Values are taken in value form, from the polynomial values of p1, p2
     and D at each point, which keeps W's relative accuracy where |p1| is
-    small against its coefficients.  Where |D|^2 <= _DENOMINATOR_FLOOR
-    (exceptional alpha) the limiting value is substituted, from the
-    coefficient form of _weight_correlations.
+    small against its coefficients.  At an exceptional level, D has a
+    simple and the resultant Res = zeta^n (|p1|^2 - |p2|^2) a double root at
+    each of its k singular points tau; with D = prod(zeta - tau) D_1,
+    Res = prod(zeta - tau)^2 Res_1 and (zeta - tau)^2/|zeta - tau|^2 =
+    -zeta tau on the circle, W = Re(conj(zeta)^(n-k) prod(-tau) Res_1)/|D_1|^2,
+    finite at tau.
     """
     zeta = np.asarray(zeta, dtype=complex)
     d = _poly_sub(R.p1_reflected, R.p2.scale(alpha.alpha))
-    p1, p2, dv = (npp.polyval(zeta, np.array(p.coefficients)) for p in (R.p1, R.p2, d))
-    num = np.abs(p1) ** 2 - np.abs(p2) ** 2
-    den = np.abs(dv) ** 2
-    resolved = den > _DENOMINATOR_FLOOR
-    out = np.maximum(num / np.where(resolved, den, 1.0), 0.0)
-    unresolved = np.flatnonzero(~resolved)
-    if len(unresolved):
-        num_corr, den_corr = _weight_correlations(R, alpha)
-        for idx in unresolved:
-            out[idx] = _limit_ratio(num_corr, den_corr, complex(zeta[idx]))
-    return out
+    taus = _level_singularities(R, alpha)
+    if taus:
+        res = R._resultant
+        for tau in taus:
+            res = _divide_out(_divide_out(res, tau.value), tau.value)
+            d = _divide_out(d, tau.value)
+        turn = math.prod(-tau.value for tau in taus) * np.conj(zeta) ** (R.n - len(taus))
+        num = (turn * res(zeta)).real
+    else:
+        num = np.abs(R.p1(zeta)) ** 2 - np.abs(R.p2(zeta)) ** 2
+    with np.errstate(all="ignore"):
+        return np.maximum(num / np.abs(d(zeta)) ** 2, 0.0)
 
 
 def _refined_cluster_root(resultant: Poly1, cluster: np.ndarray) -> complex:
@@ -521,46 +521,33 @@ def _snap_exceptional(R: RIF_n1, alpha: UnimodularConstant):
     return alpha, False
 
 
-def _dphi_dz1(R: RIF_n1, derivatives, z1: complex, z2: complex) -> complex:
-    p1d, p2d, q1d, q2d = derivatives
-    n_val = R.numerator(z1, z2)
-    d_val = R.denominator(z1, z2)
-    n_der = z2 * q1d(z1) + q2d(z1)
-    d_der = p1d(z1) + z2 * p2d(z1)
-    return (n_der * d_val - n_val * d_der) / (d_val * d_val)
-
-
 def line_constant(R: RIF_n1, tau: TorusPoint) -> float:
-    """1/|dphi/dz_1(tau, .)|, checked z_2-independent along the line."""
-    samples = np.exp(1j * (0.37 + 2.0 * math.pi * np.arange(16) / 16))
-    sing_z2 = [g.value for t, g in singularities(R) if t.close_to(tau, 1e-8)]
-    derivatives = tuple(p.derivative() for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected))
-    moduli = []
-    for z2 in samples:
-        if any(abs(z2 - g) < 1e-3 for g in sing_z2):
-            continue
-        moduli.append(abs(_dphi_dz1(R, derivatives, tau.value, complex(z2))))
-    moduli = np.array(moduli)
-    spread = float(np.max(moduli) - np.min(moduli))
-    if spread > 1e-8 * max(1.0, float(np.max(moduli))):
-        raise RIFError(f"line slope is not constant along z_1 = {tau.value}")
-    slope = float(np.mean(moduli))
-    if slope <= 0:
+    """1/|dphi/dz_1(tau, .)| = |p2(tau)|^2/|A|, A = q1'(tau) p2(tau) - q1(tau) p2'(tau).
+
+    Along the line, dphi/dz_1(tau, z_2) = (z_2 A + B)/(p2(tau)^2 (z_2 - gamma))
+    with B = q2'(tau) p2(tau) - q1(tau) p1'(tau).  The resultant's double root
+    at tau gives B = -gamma A, so the modulus is z_2-independent; |A| = |B|
+    is checked to 1e-8 relative.
+    """
+    t = tau.value
+    p2, q1 = R.p2(t), R.p1_reflected(t)
+    a = R.p1_reflected.derivative()(t) * p2 - q1 * R.p2.derivative()(t)
+    b = R.p2_reflected.derivative()(t) * p2 - q1 * R.p1.derivative()(t)
+    if abs(abs(a) - abs(b)) > 1e-8 * max(1.0, abs(a)):
+        raise RIFError(f"line slope is not constant along z_1 = {t}")
+    if a == 0:
         raise RIFError("vanishing line slope")
-    return 1.0 / slope
+    return abs(p2) ** 2 / abs(a)
 
 
 def rif_clark_measure(R: RIF_n1, alpha: UnimodularConstant) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
     (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated.
     The singularity analysis is R's cached one."""
-    snapped, is_exceptional = _snap_exceptional(R, alpha)
+    snapped, _ = _snap_exceptional(R, alpha)
     level = b_alpha(R, snapped)
     weight_rule = lambda zeta: w_alpha_values(R, snapped, zeta)  # noqa: E731
     curve = CurveComponent(kind=Graph(level.curve_rule()), weight=weight_rule)
-    lines = []
-    if is_exceptional:
-        for tau, _, value in R._singular_limits:
-            if circle_distance(math.atan2(value.imag, value.real), snapped.nu) < 1e-8:
-                lines.append(LineComponent(tau=tau, constant=line_constant(R, tau)))
-    return ClarkMeasure2D(curves=(curve,), lines=tuple(lines), tail_bound=0.0)
+    lines = tuple(LineComponent(tau=tau, constant=line_constant(R, tau))
+                  for tau in level.shared_torus_roots)
+    return ClarkMeasure2D(curves=(curve,), lines=lines, tail_bound=0.0)

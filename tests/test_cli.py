@@ -566,7 +566,9 @@ def _reference_components(mu, n):
             z2 = comp.second_coordinate(zeta)
             w = comp.weight_values(zeta)
             ok = np.isfinite(z2) & np.isfinite(w)
-            out.append((f"curve{i}", thetas[ok], np.mod(np.angle(z2[ok]), TWO_PI), w[ok]))
+            t2 = np.mod(np.angle(z2[ok]), TWO_PI)
+            t2[t2 == TWO_PI] = 0.0  # a tiny negative angle rounds up to 2pi
+            out.append((f"curve{i}", thetas[ok], t2, w[ok]))
     for i, line in enumerate(mu.lines):
         t1 = np.full(n, np.mod(line.tau.theta, TWO_PI))
         out.append((f"line{i}", t1, thetas, np.full(n, float(line.constant))))
@@ -733,14 +735,27 @@ class TestVerify:
         assert env["kind"] == "verification" and env["code"] == 3
         assert json.loads(out)["identity_residuals"][0]["relative_error"] == 1.0
 
-    def test_undefined_nodes_past_the_allowance_exit_2(self, capsys, tmp_path):
-        # singular points at tau = +-1 leave two undefined nodes on the
-        # graph, against an allowance of one
+    def test_two_singular_points_on_grid_nodes_exit_0(self, capsys, tmp_path):
+        # the singular points tau = +-1 are grid nodes, where the graph and
+        # its weight are taken with (zeta - tau) divided out
         spec = tmp_path / "two_singular.json"
         spec.write_text(json.dumps({"p1": [[4, 0], [0, 0], [-3, 0], [0, 0], [1, 0]],
                                     "p2": [[-1, 0], [0, 0], [-1, 0]], "n": 4}))
-        code, out, err = run_cli(capsys, "verify", "--rif", str(spec),
-                                 "--alpha", "3.141592653589793", "--N", "256")
+        code, out, _ = run_cli(capsys, "verify", "--rif", str(spec),
+                               "--alpha", "3.141592653589793", "--N", "256")
+        assert code == 0
+        assert VerificationReport.from_json_dict(json.loads(out)).passed
+
+    def test_undefined_nodes_past_the_allowance_exit_2(self, capsys, specs, monkeypatch):
+        # a weight undefined at two nodes, against an allowance of one
+        def undefined_at_two_nodes(R, alpha, zeta):
+            values = w_alpha_values(R, alpha, zeta)
+            values[[3, 100]] = np.nan
+            return values
+
+        monkeypatch.setattr(rif2d, "w_alpha_values", undefined_at_two_nodes)
+        code, out, err = run_cli(capsys, "verify", "--rif", specs["example36"],
+                                 "--alpha", "0.785398", "--N", "256")
         assert code == 2 and out == ""
         env = error_envelope(err)
         assert env["kind"] == "computation" and env["code"] == 2

@@ -31,7 +31,7 @@ from clark_measures.rif2d import (
     w_alpha_values,
 )
 from clark_measures import rif2d
-from clark_measures.rif2d import _trig_eval, _weight_correlations
+from clark_measures.rif2d import _radial_limit, _weight_correlations
 from clark_measures.verify import sample_test_points
 
 GRID = QuadratureGrid(4096)
@@ -184,7 +184,8 @@ class TestLevelRational:
         assert B.shared_torus_roots[0].theta == pytest.approx(0.0, abs=1e-9)
         zs = np.exp(1j * np.linspace(0.3, 6.0, 9))
         assert np.allclose(B.curve_rule()(zs), np.conj(zs), atol=1e-12)
-        assert np.isnan(B(np.array([1.0 + 0j]))[0])
+        # (zeta - 1) divided out of both: B = zeta at alpha = -1, 1 at zeta = 1
+        assert abs(B(np.array([1.0 + 0j]))[0] - 1.0) <= 4 * np.finfo(float).eps
 
 
 class TestWeight:
@@ -310,23 +311,6 @@ class TestRandomWeights:
         assert np.max(np.abs(num_corr - laurent)) <= 1e-14 * scale
 
 
-class TestTrigEval:
-    @pytest.mark.parametrize("order", [0, 1, 2])
-    @pytest.mark.parametrize("d", range(1, 7))
-    def test_matches_the_trigonometric_sum(self, d, order):
-        rng = np.random.default_rng(100 * d + order)
-        m = np.arange(-d, d + 1)
-        for _ in range(20):
-            half = rng.normal(size=d) + 1j * rng.normal(size=d)
-            corr = np.concatenate([np.conj(half[::-1]), [rng.normal()], half])
-            thetas = rng.uniform(0.0, 2 * math.pi, 64)
-            exact = (np.exp(1j * np.outer(thetas, m)) @ (corr * (1j * m) ** order)).real
-            values = _trig_eval(corr, np.exp(1j * thetas), order)
-            scale = np.sum(np.abs(corr) * np.abs(m) ** order)
-            assert np.max(np.abs(values - exact)) <= 1e-13 * scale
-            assert _trig_eval(corr, np.exp(1j * thetas[0]), order) == values[0]
-
-
 class TestSingularities:
     def test_worked_example(self):
         found = singularities(example_rif())
@@ -377,6 +361,85 @@ class TestSingularityCache:
 
         monkeypatch.setattr(rif2d, "_radial_limit", no_limit)
         assert len(singularities(example_rif())) == 1
+
+
+def rotated_rif(p1, p2, n, theta) -> RIF_n1:
+    """p_k(e^{-i theta} z): the singular points turn by theta."""
+    turn = np.exp(-1j * theta) ** np.arange(n + 1)
+    return RIF_n1(p1=Poly1(tuple(turn[:len(p1)] * p1)), p2=Poly1(tuple(turn[:len(p2)] * p2)), n=n)
+
+
+def singular_rifs() -> dict:
+    """RIFs with torus singularities: the example, turned, with two singular
+    points at +-1, and times a z_1 factor (z - r), |r| > 1, turned."""
+    p1, p2 = np.array([4, -3, 1], dtype=complex), np.array([-1, -1], dtype=complex)
+    r = 1.5 * np.exp(0.7j)
+    return {
+        "example": example_rif(),
+        "rotated": rotated_rif(p1, p2, 2, 2.0),
+        "two_singular": RIF_n1(p1=Poly1((4, 0, -3, 0, 1)), p2=Poly1((-1, 0, -1)), n=4),
+        "factor_rotated": rotated_rif(np.polynomial.polynomial.polymul(p1, (-r, 1)),
+                                      np.polynomial.polynomial.polymul(p2, (-r, 1)), 3, 2.0),
+    }
+
+
+SINGULAR_RIFS = singular_rifs()
+
+
+class TestSingularFamily:
+    """The exceptional level in closed form, against numerical oracles."""
+
+    @pytest.mark.parametrize("name", SINGULAR_RIFS)
+    def test_exceptional_value_is_the_radial_limit(self, name):
+        R = SINGULAR_RIFS[name]
+        assert R._singular_limits
+        for tau, gamma, value in R._singular_limits:
+            assert abs(value - _radial_limit(R, tau.value, gamma.value)) <= 1e-9
+
+    def test_example_value_is_minus_one(self):
+        ((_, _, value),) = example_rif()._singular_limits
+        assert abs(value - (-1.0)) <= 4 * np.finfo(float).eps
+        (level,) = exceptional_values(example_rif())
+        assert abs(level.alpha - (-1.0)) <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", SINGULAR_RIFS)
+    def test_line_constant_is_the_inverse_slope(self, name):
+        R = SINGULAR_RIFS[name]
+        derivatives = [p.derivative() for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected)]
+        for tau, gamma in singularities(R):
+            constant = line_constant(R, tau)
+            t = tau.value
+            for z2 in np.exp(1j * (0.37 + 2 * math.pi * np.arange(16) / 16)):
+                assert abs(z2 - gamma.value) > 1e-3
+                num = z2 * R.p1_reflected(t) + R.p2_reflected(t)
+                den = R.p1(t) + z2 * R.p2(t)
+                num_der = z2 * derivatives[2](t) + derivatives[3](t)
+                den_der = derivatives[0](t) + z2 * derivatives[1](t)
+                slope = abs((num_der * den - num * den_der) / den**2)
+                assert abs(constant * slope - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", SINGULAR_RIFS)
+    def test_graph_and_weight_at_the_exceptional_level(self, name):
+        R = SINGULAR_RIFS[name]
+        z = GRID.points()
+        for alpha in exceptional_values(R):
+            mu = rif_clark_measure(R, alpha)
+            assert mu.lines
+            g = mu.curves[0].second_coordinate(z)
+            w = mu.curves[0].weight_values(z)
+            assert np.all(np.isfinite(g)) and np.all(np.isfinite(w))
+            far = np.ones(len(z), dtype=bool)
+            for line in mu.lines:
+                far &= np.abs(z - line.tau.value) >= 0.05
+            p1, p2 = R.p1(z[far]), R.p2(z[far])
+            direct = (np.abs(p1) ** 2 - np.abs(p2) ** 2) / np.abs(
+                R.p1_reflected(z[far]) - alpha.alpha * p2) ** 2
+            assert np.max(np.abs(w[far] - direct)) <= 1e-12 * max(1.0, float(np.max(direct)))
+            # graph and lines carry the total mass (1 - |phi(0)|^2)/|alpha - phi(0)|^2
+            ones = lambda a, b: np.ones(np.broadcast(a, b).shape)  # noqa: E731
+            v0 = rif_map(R)((0.0, 0.0))
+            mass = (1 - abs(v0) ** 2) / abs(alpha.alpha - v0) ** 2
+            assert abs(integrate_measure2d(mu, ones, GRID).value - mass) <= 1e-12
 
 
 class TestExceptional:

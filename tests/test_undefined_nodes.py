@@ -15,14 +15,12 @@ from clark_measures import (
     InnerFunction1D,
     QuadratureError,
     QuadratureGrid,
-    RIF_n1,
     UnimodularConstant,
     embed_clark_nd,
     fourier_rp_check,
     integrate_embed_nd,
     integrate_measure2d,
     periodic_quadrature,
-    rif_clark_measure,
 )
 from clark_measures.product2d import ProductInner, product_clark_integrate
 from clark_measures.torus_core import TWO_PI
@@ -32,9 +30,6 @@ EXP = InnerFunction1D(singular_atoms=((0.0, 1.0),))
 BPAIR = InnerFunction1D(monomial_power=1, blaschke_zeros=(0.5j,))
 ONE = UnimodularConstant.one()
 GRID = QuadratureGrid(256)
-# singular points at tau = +-1: two undefined nodes on any grid of even size
-RIF_TWO_SINGULAR = {"p1": [[4, 0], [0, 0], [-3, 0], [0, 0], [1, 0]],
-                    "p2": [[-1, 0], [0, 0], [-1, 0]], "n": 4}
 
 
 def at_one(w, bad):
@@ -114,7 +109,7 @@ def test_expexp_undefined_at_the_fiber_corner_raises(undefined_axis, K):
 
 def test_quadrature_error_is_a_value_error():
     assert issubclass(QuadratureError, ValueError)
-    mu = rif_clark_measure(RIF_n1.from_json_dict(RIF_TWO_SINGULAR), UnimodularConstant.from_nu(np.pi))
+    mu, _ = graph_undefined_at(np.array([3, 100]))
     integrate = measure_integrator(mu, QuadratureGrid(256))
     with pytest.raises(ValueError, match="2 undefined nodes exceed the allowance 1"):
         integrate((0.3 + 0.2j, 0.1 - 0.4j))
