@@ -19,7 +19,8 @@ constant as one float, anything else as a float array.  The CSV, SVG and
 JSON are all formatted from those columns, the grid's strings once per
 output and a constant's once per component.  Exit codes: 0 ok, 1 schema error, 2 computation error,
 3 verification failure; failures put a machine-readable JSON envelope on
-stderr.
+stderr.  `verify --rif` exits 2 with kind "unresolved" where an identity
+point's or the mass check's proven error bound exceeds its tolerance.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .verify import (
     total_mass_check,
 )
 
-__all__ = ["CommandSpec", "SchemaError", "ComputationError", "run", "main"]
+__all__ = ["CommandSpec", "SchemaError", "ComputationError", "UnresolvedError", "run", "main"]
 
 
 _SUBCOMMANDS = ("eval", "measure1d", "embed", "product", "rif", "verify", "plot")
@@ -88,6 +89,7 @@ _PALETTE = ("#000000", "#808080", "#ff8c00", "#d62728",
             "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 _SVG_SCALE = 100.0
 _FOURIER_KMAX = 8
+_MASS_BASE_ABS = 1e-8
 # Branch windows beyond this make the support/Fourier sections slower
 # without tightening them (the tail bound shrinks like 1/K).
 _SUPPORT_WINDOW_CAP = 200
@@ -99,6 +101,16 @@ class SchemaError(ValueError):
 
 class ComputationError(RuntimeError):
     """A well-formed request the library cannot carry out (exit 2)."""
+
+    kind = "computation"
+
+
+class UnresolvedError(ComputationError):
+    """A RIF identity point or mass check whose proven error bound exceeds
+    its tolerance: the integral cannot be resolved there to the precision
+    the check states, so no pass or fail is reported (exit 2)."""
+
+    kind = "unresolved"
 
 
 @dataclass(frozen=True)
@@ -455,7 +467,7 @@ def _cmd_rif(spec: CommandSpec) -> int:
 def _cmd_verify(spec: CommandSpec) -> int:
     alpha = _alpha_of(spec.alpha)
     grid = QuadratureGrid(spec.N)
-    support, fourier = (), ()
+    support, fourier, bounds = (), (), {}
     if spec.input_kind == "embed":
         phi = _load_inner(spec.input)
         rule = embedding_map(phi, spec.d)
@@ -506,7 +518,7 @@ def _cmd_verify(spec: CommandSpec) -> int:
         rule = rif_map(R)
         alpha, _ = _compute(lambda: _snap_exceptional(R, alpha))  # the level mu is built at
         mu = _compute(lambda: rif_clark_measure(R, alpha))
-        integrate = measure_integrator(mu, grid)
+        integrate = _recording(measure_integrator(mu, grid), bounds)
         base_rel, dim, count = RIF_BASE_REL, 2, 100
         support = _compute(lambda: support_inclusion_check(
             mu, rif_boundary_map(R), alpha, exemptions=singularities(R)))
@@ -517,7 +529,8 @@ def _cmd_verify(spec: CommandSpec) -> int:
         mu, rule, alpha, points, base_rel=base_rel, integrate=integrate,
         seed=DEFAULT_SEED))
     mass = _compute(lambda: total_mass_check(
-        mu, rule, alpha, integrate=integrate, dimension=dim))
+        mu, rule, alpha, base_abs=_MASS_BASE_ABS, integrate=integrate, dimension=dim))
+    _require_resolved(base.identity_residuals, mass, bounds, base_rel)
     report = VerificationReport(
         identity_residuals=base.identity_residuals,
         mass=mass,
@@ -525,7 +538,7 @@ def _cmd_verify(spec: CommandSpec) -> int:
         support=support,
         tolerances={
             "identity_base_rel": base_rel,
-            "mass_base_abs": 1e-8,
+            "mass_base_abs": _MASS_BASE_ABS,
             "support_tol": SUPPORT_TOL,
             "fourier_base_tol": FOURIER_BASE_TOL,
         },
@@ -536,6 +549,30 @@ def _cmd_verify(spec: CommandSpec) -> int:
         return 0
     _emit_error("verification", 3, "verification failed")
     return 3
+
+
+def _recording(integrate, bounds: dict):
+    """integrate, recording each point's error bound in bounds."""
+
+    def recorded(z):
+        res = integrate(z)
+        bounds[tuple(complex(c) for c in z)] = res.error_bound
+        return res
+
+    return recorded
+
+
+def _require_resolved(residuals, mass, bounds: dict, base_rel: float) -> None:
+    """Raise UnresolvedError where a recorded error bound exceeds its base
+    tolerance: base_rel times the right-hand side at an identity point,
+    _MASS_BASE_ABS at the origin for the mass."""
+    for r in residuals:
+        if not bounds.get(r.z, 0.0) <= base_rel * r.rhs:
+            raise UnresolvedError(f"identity point {list(map(str, r.z))}: error bound "
+                                  f"{bounds[r.z] / r.rhs:.3e} relative exceeds {base_rel:g}")
+    origin = (0j, 0j)
+    if not bounds.get(origin, 0.0) <= _MASS_BASE_ABS:
+        raise UnresolvedError(f"mass: error bound {bounds[origin]:.3e} exceeds {_MASS_BASE_ABS:g}")
 
 
 def _cmd_plot(spec: CommandSpec) -> int:
@@ -584,7 +621,7 @@ def run(spec: CommandSpec) -> int:
         _emit_error("schema", 1, exc)
         return 1
     except ComputationError as exc:
-        _emit_error("computation", 2, exc)
+        _emit_error(exc.kind, 2, exc)
         return 2
 
 
@@ -665,7 +702,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_group(p, ("embed", "product", "rif"))
     p.add_argument("--alpha", required=True, type=float)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--N", type=int)
+    p.add_argument("--N", type=int, help="quadrature grid (default 4096); a RIF's identity "
+                   "points and mass are residue sums and do not use it")
     p.add_argument("--K", type=int,
                    help="truncation (embed atoms default 10000, product layers 1000)")
     p.add_argument("--output", metavar="PATH")

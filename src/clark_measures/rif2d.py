@@ -454,47 +454,31 @@ def singularities(R: RIF_n1):
     return R._singularities
 
 
-def _radial_limit(R: RIF_n1, z1: complex, z2: complex) -> complex:
-    """Richardson-extrapolated limit of phi(r z1, r z2) along r = 1 - 2^-m."""
-    previous = None
-    extrapolated = None
-    for m in range(4, 25):
-        r = 1.0 - 2.0 ** (-m)
-        current = complex(R.numerator(r * z1, r * z2) / R.denominator(r * z1, r * z2))
-        if previous is not None:
-            nxt = 2.0 * current - previous
-            if extrapolated is not None and abs(nxt - extrapolated) < 1e-9:
-                return nxt
-            extrapolated = nxt
-        previous = current
-    raise RIFError("radial limit did not converge")
-
-
 def _boundary_values(R: RIF_n1, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """phi* at the torus points (z1, z2) of two equal-shaped arrays.
 
     The quotient of the numerator and denominator arrays, except at nodes
-    where |den| <= 1e-10 scale: there the radial limit is extrapolated, and
-    it is NaN where that limit does not converge.
+    where |den| <= 1e-10 scale: there a node within 1e-8 of a singular point
+    (tau, gamma) takes its nontangential value alpha_tau = q1(tau)/p2(tau),
+    in closed form, and any other such node is NaN.
     """
     scale = max(float(np.max(np.abs(np.array(p.coefficients)))) for p in (R.p1, R.p2))
     den = R.denominator(z1, z2)
     with np.errstate(all="ignore"):
         values = R.numerator(z1, z2) / den
     for j in np.flatnonzero(np.abs(den) <= 1e-10 * scale):
-        try:
-            values[j] = _radial_limit(R, complex(z1[j]), complex(z2[j]))
-        except RIFError:
-            values[j] = np.nan
+        values[j] = next((value for tau, gamma, value in R._singular_limits
+                          if max(abs(z1[j] - tau.value), abs(z2[j] - gamma.value)) <= _TORUS_TOL),
+                         np.nan)
     return values
 
 
 def rif_boundary_value(R: RIF_n1, zeta) -> complex:
-    """phi*(zeta) on the torus; radial extrapolation at singular points."""
+    """phi*(zeta) on the torus; alpha_tau at a singular point (tau, gamma)."""
     z1, z2 = (np.array([t.value if isinstance(t, TorusPoint) else complex(t)]) for t in zeta)
     value = complex(_boundary_values(R, z1, z2)[0])
     if not cmath.isfinite(value):
-        raise RIFError("radial limit did not converge")
+        raise RIFError(f"phi* is undefined at {zeta}")
     return value
 
 
@@ -540,14 +524,89 @@ def line_constant(R: RIF_n1, tau: TorusPoint) -> float:
     return abs(p2) ** 2 / abs(a)
 
 
+def _gamma(k: int) -> float:
+    """gamma_k = k u/(1 - k u), u = 2^-53 the unit roundoff (Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 3)."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def _deflated(coefficients: np.ndarray, bounds: np.ndarray, tau: complex) -> tuple:
+    """The quotient of a polynomial by (z - tau), |tau| = 1, remainder dropped,
+    with bounds on its coefficients' errors.
+
+    Synthetic division q_(k-1) = c_k + tau q_k: an error e_k in q_k and b_k
+    in c_k give one of at most |tau| e_k + b_k + gamma_3 (|tau| |q_k| +
+    |q_(k-1)|) in q_(k-1), the complex product and sum each rounding once
+    (see verify._horner).  The bounds hold against the exact quotient when
+    tau is an exact root.
+    """
+    quotient, errors = [], []
+    q, e, t = 0j, 0.0, abs(tau)
+    for c, b in zip(coefficients[:0:-1], bounds[:0:-1]):
+        nxt = q * tau + c
+        e = t * e + b + _gamma(3) * (t * abs(q) + abs(nxt))
+        q = nxt
+        quotient.append(q)
+        errors.append(e)
+    return np.array(quotient[::-1], dtype=complex), np.array(errors[::-1])
+
+
+@dataclass(frozen=True, eq=False)
+class _LevelGraph:
+    """The graph component of rif_clark_measure at one level alpha: g and
+    weight are its methods, so a component carries its level.
+
+    level_polynomials are D = q1 - alpha p2, E = alpha p1 - q2 and the
+    resultant Res = p1 q1 - p2 q2 as ascending coefficient tuples, each with
+    (zeta - tau) divided out once (twice for Res) at every singular point
+    tau of the level, and a tuple of bounds on each coefficient's error
+    against the exact polynomial of p1, p2 and alpha.  On the circle
+    W_alpha = alpha Res/(D E) and B_alpha = D/E (see verify.measure_integrator).
+    """
+
+    R: RIF_n1
+    alpha: UnimodularConstant
+    level: LevelRational
+
+    def g(self, zeta):
+        return np.conj(self.level(zeta))
+
+    def weight(self, zeta):
+        return w_alpha_values(self.R, self.alpha, zeta)
+
+    @cached_property
+    def level_polynomials(self) -> tuple:
+        """((D, bounds), (E, bounds), (Res, bounds)), deflated at the level's taus.
+
+        A coefficient of D or E is one complex product and one difference,
+        within gamma_4 of the sum of the moduli of its two terms; one of Res
+        sums at most n + 1 products per convolution, within gamma_(n+5) of
+        the sum of the moduli of its terms whatever the summation order.
+        """
+        R, a, n = self.R, self.alpha.alpha, self.R.n
+        p1, p2, q1, q2 = (np.pad(np.array(p.coefficients), (0, n + 1 - len(p.coefficients)))
+                          for p in (R.p1, R.p2, R.p1_reflected, R.p2_reflected))
+        res = np.array(R._resultant.coefficients)
+        moduli = (np.convolve(np.abs(p1), np.abs(q1)) + np.convolve(np.abs(p2), np.abs(q2)))
+        polys = [(q1 - a * p2, _gamma(4) * (np.abs(q1) + np.abs(p2))),
+                 (a * p1 - q2, _gamma(4) * (np.abs(p1) + np.abs(q2))),
+                 (np.pad(res, (0, 2 * n + 1 - len(res))), _gamma(n + 5) * moduli)]
+        for tau in self.level.shared_torus_roots:
+            for j, times in enumerate((1, 1, 2)):
+                for _ in range(times):
+                    polys[j] = _deflated(*polys[j], tau.value)
+        return tuple((tuple(c.tolist()), tuple(b.tolist())) for c, b in polys)
+
+
 def rif_clark_measure(R: RIF_n1, alpha: UnimodularConstant) -> ClarkMeasure2D:
     """Graph component with weight W_alpha; plus Lebesgue lines when alpha is
     (within 1e-6 of) an exceptional value.  tail_bound is 0: nothing truncated.
-    The singularity analysis is R's cached one."""
+    The singularity analysis is R's cached one.  The graph's rule and weight
+    are the methods of one _LevelGraph, which carries the level polynomials
+    that measure_integrator sums residues over."""
     snapped, _ = _snap_exceptional(R, alpha)
-    level = b_alpha(R, snapped)
-    weight_rule = lambda zeta: w_alpha_values(R, snapped, zeta)  # noqa: E731
-    curve = CurveComponent(kind=Graph(level.curve_rule()), weight=weight_rule)
+    graph = _LevelGraph(R, snapped, b_alpha(R, snapped))
+    curve = CurveComponent(kind=Graph(graph.g), weight=graph.weight)
     lines = tuple(LineComponent(tau=tau, constant=line_constant(R, tau))
-                  for tau in level.shared_torus_roots)
+                  for tau in graph.level.shared_torus_roots)
     return ClarkMeasure2D(curves=(curve,), lines=lines, tail_bound=0.0)

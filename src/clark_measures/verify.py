@@ -12,10 +12,12 @@ Embedded measures, in any dimension, live on the subtori
 kernel semigroup P_a * P_b = P_ab: the subtorus through eta contributes
 exactly P_{z1 ... zd}(eta).  A line {zeta_1 = tau} with constant c
 contributes c P_{z1}(tau), exactly, since P_{z2} has mean 1 on the circle.
-Graph components run the node quadrature of integrate_measure2d, with its
-bits, in real arithmetic over rows sampled once per measure and grid.  The
-generic quadrature integrators (integrate_measure2d, integrate_embed_nd)
-are the independent oracle the tests pin the closed forms against.
+The level graph of a rational inner function is a residue sum with a proven
+error bound and no grid (see measure_integrator); any other graph runs the
+node quadrature of integrate_measure2d, with its bits, in real arithmetic
+over rows sampled once per measure and grid.  The generic quadrature
+integrators (integrate_measure2d, integrate_embed_nd) are the independent
+oracle the tests pin the closed forms against.
 
 The support check maps all of its samples at once, through the array form
 of a boundary map (embedding_boundary_map, product_boundary_map,
@@ -35,11 +37,12 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.polynomial import polynomial as npp
 
 from .embed import EmbeddedClarkND
 from .inner1d import InnerFunction1D, boundary_values_array
 from .product2d import PRODUCT_TRUNCATION, ProductInner, _product_fiber
-from .rif2d import RIF_n1, _boundary_values
+from .rif2d import RIF_n1, _boundary_values, _gamma, _LevelGraph
 from .torus_core import (
     TWO_PI,
     ClarkMeasure2D,
@@ -319,10 +322,11 @@ def _antidiagonal_poisson(etas, weights):
     return at
 
 
-def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid):
-    """(z1, z2) -> (value, grid-halving estimate) of mu's graphs' Poisson integral.
+def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid, which):
+    """(z1, z2) -> (value, grid-halving estimate) of the Poisson integral of
+    the graphs mu.graphs[j], j in which.
 
-    The node quadrature of integrate_measure2d over the graph components,
+    The node quadrature of integrate_measure2d over those graphs,
     with its bits and its component indices in mu.curves, in real
     arithmetic over rows made once: the grid's real and imaginary parts
     (shared by every integrator on grid), each graph's second coordinate as
@@ -334,15 +338,16 @@ def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid):
     term, so no sup of the integrand is taken.
     """
     x, y = grid._circle_rows
-    rows = [(np.ascontiguousarray(z2.real), np.ascontiguousarray(z2.imag), weight)
-            for z2, weight in mu._graph_nodes(grid)]
+    nodes = mu._graph_nodes(grid)
+    rows = [(len(mu.thetas) + j, np.ascontiguousarray(nodes[j][0].real),
+             np.ascontiguousarray(nodes[j][0].imag), nodes[j][1]) for j in which]
     kernel1, kernel2, tmp = np.empty((3, grid.n_nodes))
 
     def at(z1: complex, z2: complex) -> tuple:
         means, estimates = [], []
         with np.errstate(all="ignore"):
             _poisson_into(x, y, z1, kernel1, tmp)
-            for idx, (u, v, weight) in enumerate(rows, start=len(mu.thetas)):
+            for idx, u, v, weight in rows:
                 _poisson_into(u, v, z2, kernel2, tmp)
                 np.multiply(kernel1, kernel2, out=kernel2)
                 np.multiply(kernel2, weight, out=kernel2)
@@ -354,26 +359,343 @@ def _graph_poisson(mu: ClarkMeasure2D, grid: QuadratureGrid):
     return at
 
 
+# ---------------------------------------------------------------------------
+# residue sums over the level graphs of rational inner functions
+
+_U = 2.0 ** -53
+_G1, _G3, _G4 = _gamma(1), _gamma(3), _gamma(4)
+_NO_BALL = (complex(math.nan, math.nan), math.inf)
+
+
+def _level_graph(comp):
+    """The _LevelGraph whose rule and weight comp carries, else None: a
+    component whose g or weight was replaced is not a level graph."""
+    graph = getattr(comp.kind.g, "__self__", None)
+    if isinstance(graph, _LevelGraph) and comp.kind.g == graph.g and comp.weight == graph.weight:
+        return graph
+    return None
+
+
+def _horner(c, bounds, w, a) -> tuple:
+    """Balls (value, error bound) of P(w) and P[a, w], and the coefficients
+    of Q = P[., w] with their bounds, for the polynomial P whose ascending
+    coefficients are within bounds of c.  P[w, w] = P'(w).
+
+    One Horner pass runs two streams: the synthetic division of P by
+    (zeta - w), whose partial results are the coefficients of Q and which
+    ends at P(w), and Horner's rule for Q at a.  A stream step y = x y' + t
+    rounds as fl(fl(x y') + t) = (x y' (1 + eps) + t)(1 + delta) with
+    |delta| <= u and, for the complex product, |eps| <= sqrt(2) gamma_2 <=
+    gamma_3 (Higham, Accuracy and Stability of Numerical Algorithms, Lemma
+    3.5), gamma_k = k u/(1 - k u).  So with e' the error of y' and b that
+    of t, the step's error is at most |x| e' + b + gamma_3 (|x| |y'| + |y|),
+    |y| and |y'| as computed: the running error bound of Higham's Algorithm
+    5.1, in complex arithmetic.
+    """
+    tw, ta, g3 = abs(w), abs(a), _G3
+    y, ey = c[-1], bounds[-1]
+    ay = abs(y)
+    v, av, ev = 0j, 0.0, 0.0
+    q, eq = [], []
+    for k in range(len(c) - 2, -1, -1):
+        q.append(y)
+        eq.append(ey)
+        v = v * a + y
+        n = abs(v)
+        ev, av = ta * ev + ey + g3 * (ta * av + n), n
+        y = y * w + c[k]
+        n = abs(y)
+        ey, ay = tw * ey + bounds[k] + g3 * (tw * ay + n), n
+    return (y, ey), (v, ev), q[::-1], eq[::-1]
+
+
+def _jet(c, bounds, w, a) -> tuple:
+    """Balls of P(w), P'(w), P[a, w] and P[a, w, w]: _horner on P, then on
+    Q = P[., w], whose value at w is P'(w) and whose P[a, w] is P[a, w, w]."""
+    value, slope, q, eq = _horner(c, bounds, w, a)
+    derivative, curvature, _, _ = _horner(q, eq, w, a)
+    return value, derivative, slope, curvature
+
+
+def _taylor(majorant) -> tuple:
+    """(M'(1), M''(1)/2, M'''(1)/6) for the polynomial M with nonnegative
+    ascending coefficients."""
+    return tuple(sum(math.comb(k, j) * c for k, c in enumerate(majorant)) for j in (1, 2, 3))
+
+
+def _bsum(a, b, sign: float = 1.0) -> tuple:
+    """The ball a + sign b, sign = +-1; the sum rounds by at most u |a + b|,
+    at most gamma_1 times the computed sum."""
+    s = a[0] + sign * b[0]
+    return s, a[1] + b[1] + _G1 * abs(s)
+
+
+def _bmul(a, b) -> tuple:
+    """The ball a b: |x y - a b| <= |a| r_b + r_a |b| + r_a r_b, and the
+    product rounds by at most sqrt(2) gamma_2 |a b| <= 3u |fl(a b)|."""
+    p = a[0] * b[0]
+    return p, abs(a[0]) * b[1] + a[1] * abs(b[0]) + a[1] * b[1] + 3.0 * _U * abs(p)
+
+
+def _bdiv(a, b) -> tuple:
+    """The ball a/b, or a NaN centre with an infinite radius where the ball
+    b may hold 0.  1/b is conj(b)/(re^2 + im^2): the sum of squares is
+    within gamma_2 and each part within gamma_3, so fl(1/b) is within
+    gamma_4 |fl(1/b)| of 1/b; |1/x - 1/b| <= r/(|b| (|b| - r)), |b| - r
+    bounded below with slack for the rounding of |b|, within one ulp."""
+    c, r = b
+    m = abs(c)
+    low = m * (1.0 - 8.0 * _U) - r
+    s = c.real * c.real + c.imag * c.imag
+    if not (low > 0.0 and s > 0.0):
+        return _NO_BALL
+    inverse = complex(c.real / s, -c.imag / s)
+    return _bmul(a, (inverse, r / (m * low) + _G4 * abs(inverse)))
+
+
+def _one_minus_square(z: complex) -> tuple:
+    """The ball 1 - |z|^2: re^2 + im^2 is within gamma_2 of |z|^2 and the
+    difference rounds once."""
+    s = z.real * z.real + z.imag * z.imag
+    d = 1.0 - s
+    return complex(d), _G3 * s + _G1 * abs(d)
+
+
+def _roots(h):
+    """The roots of the polynomial with ascending coefficients h, degree >= 1:
+    in closed form to degree 2, else as companion eigenvalues; None when the
+    leading coefficient is 0."""
+    if not h[-1]:
+        return None
+    if len(h) == 2:
+        return [-h[0] / h[1]]
+    if len(h) == 3:
+        b, disc = h[1], cmath.sqrt(h[1] * h[1] - 4.0 * h[2] * h[0])
+        q = -0.5 * (b + disc if abs(b + disc) >= abs(b - disc) else b - disc)
+        return [q / h[2], h[0] / q] if q else [0j, 0j]
+    return [complex(r) for r in npp.polyroots(h)]
+
+
+def _wider(ball, radius: float) -> tuple:
+    """The ball with its radius grown by radius."""
+    return ball[0], ball[1] + radius
+
+
+def _finish(ball, inflate: float) -> tuple:
+    """(real part, bound) of a ball; a bound that is not finite is inf."""
+    bound = ball[1] * inflate
+    return ball[0].real, bound if math.isfinite(bound) else math.inf
+
+
+def _contour_sum(z1: complex, c: tuple, polys, slopes) -> tuple:
+    """The ball (1/2 pi i) times the integral of F over |zeta| = s, by the
+    N-node trapezoid rule, for F = c Res/((zeta - z1)(1 - conj(z1) zeta) G H)
+    with polys = (G, H, Res) as (coefficients, bounds) and slopes their
+    majorants' slopes at 1; _NO_BALL where it cannot be certified.
+
+    Every root of H lies within a = 2 max_k (|h_k|/|h_m|)^(1/(m-k))
+    (Fujiwara's bound, with the coefficient bounds), and G has none in the
+    disc, so F is analytic on max(a, |z1|) < |zeta| < 1 and the circle
+    |zeta| = s there encloses every pole of F inside the disc.  Its Laurent
+    coefficients obey Cauchy's estimate |c_n| <= M(r)/r^n on any circle
+    |zeta| = r of that annulus, M(r) a bound of |F| there, so the rule's
+    error is at most M(r1) r1 q1^N/(1 - q1^N) + M(r2) r2 q2^N/(1 - q2^N),
+    q1 = r1/s, q2 = s/r2.  On |zeta| = r, |Res| is at most its majorant at
+    r, |G| at least |G(0)| less the rest of its majorant, and
+    |H| >= |h_m| (r - a)^m.  The nodes are rounded, so each is taken as a
+    ball of radius 32u s, over which a polynomial moves by at most its
+    majorant's slope times the radius.
+    """
+    (g, eg), (h, eh), (res, eres) = polys
+    m, t1 = len(h) - 1, abs(z1)
+    lead = abs(h[-1]) - eh[-1]
+    if not lead > 0.0:
+        return _NO_BALL
+    a = max([2.0 * ((abs(h[k]) + eh[k]) / lead) ** (1.0 / (m - k)) for k in range(m)]
+            + [t1, 2.0 ** -40])
+
+    def majorant(coefficients, bounds, r, start=0):
+        return sum((abs(x) + b) * r ** k
+                   for k, (x, b) in enumerate(zip(coefficients, bounds)) if k >= start)
+
+    def g_floor(r):
+        return abs(g[0]) - eg[0] - majorant(g, eg, r, 1)
+
+    r2 = 0.9
+    while not (r2 > 2.0 * a and g_floor(r2) > 0.0):
+        r2 /= 2.0
+        if not r2 > 2.0 * a:
+            return _NO_BALL
+    s = r2 / 2.0 if r2 > 8.0 * a else math.sqrt(a * r2)
+    r1 = math.sqrt(a * s)
+    q = max(r1 / s, s / r2)
+    n = 8
+    while q ** n > 2.0 ** -64:
+        n *= 2
+        if n > 4096:
+            return _NO_BALL
+    g_low = g_floor(r2)
+    c_up = abs(c[0]) + c[1]
+    error = sum(c_up * majorant(res, eres, r) / ((r - t1) * (1.0 - t1 * r) * g_low
+                                                 * lead * (r - a) ** m) * r * w / (1.0 - w)
+                for r, w in ((r1, (r1 / s) ** n), (r2, (s / r2) ** n)))
+    zc1, delta, total = z1.conjugate(), 32.0 * _U * s, (0j, 0.0)
+    for j in range(n):
+        zeta = s * complex(math.cos(2.0 * math.pi * j / n), math.sin(2.0 * math.pi * j / n))
+        G, H, R = (_wider(_horner(*p, zeta, zeta)[0], delta * slope)
+                   for p, slope in zip(polys, slopes))
+        lin = _bsum((1 + 0j, 0.0), _bmul((zc1, 0.0), (zeta, delta)), -1.0)
+        den = _bmul(_bmul(_bmul(_bsum((zeta, delta), (z1, 0.0), -1.0), lin), G), H)
+        total = _bsum(total, _bmul(_bdiv(_bmul(c, R), den), (zeta, delta)))
+    # the radius sums n nonnegative terms in turn
+    return total[0] / n, (total[1] / n + error) * (1.0 + _gamma(4 * n))
+
+
+def _residue_poisson(graph: _LevelGraph):
+    """z1, z2 -> (value, proven error bound) of a level graph's Poisson
+    integral as a residue sum; see measure_integrator.
+
+    The coefficients of G = E - z2 D are e_k - z2 d_k, each one step of
+    the kind _horner bounds, so within (b_e + gamma_4 |e|) + |z2| (b_d +
+    gamma_4 |d|) of the exact ones, b the coefficient bounds of the level
+    polynomials; likewise H.  Every point and disc lies in the closed unit
+    disc, so the moduli of a polynomial's derivatives there are at most
+    those of its majorant at 1, made once per level.  The radii are built
+    from nonnegative terms by chains of fewer than K/2 = 64 (m + 4)
+    operations, each within 2u (one ulp for a modulus), so scaling them by
+    1 + gamma_K covers their own rounding.
+    """
+    (d, ed), (e, ee), res = graph.level_polynomials
+    md, me = [abs(c) for c in d], [abs(c) for c in e]
+    ad = [b + _G4 * c for b, c in zip(ed, md)]
+    ae = [b + _G4 * c for b, c in zip(ee, me)]
+    td, te, tr = (_taylor([abs(c) + b for c, b in zip(*p)]) for p in ((d, ed), (e, ee), res))
+    m, alpha = len(d) - 1, graph.alpha.alpha
+    inflate = 1.0 + _gamma(128 * (m + 4))
+
+    def at(z1: complex, z2: complex) -> tuple:
+        zc1, zc2, t2 = z1.conjugate(), z2.conjugate(), abs(z2)
+        g = ([a - z2 * b for a, b in zip(e, d)], [a + t2 * b for a, b in zip(ae, ad)])
+        h = ([a - zc2 * b for a, b in zip(d, e)], [a + t2 * b for a, b in zip(ad, ae)])
+        b1 = _one_minus_square(z1)
+        c = _bmul((alpha, 0.0), _bmul(b1, _one_minus_square(z2)))
+        Ga = _horner(*g, z1, z1)[0]
+        if not m:
+            den = _bmul(_bmul(b1, Ga), _horner(*h, z1, z1)[0])
+            return _finish(_bdiv(_bmul(c, _horner(*res, z1, z1)[0]), den), inflate)
+        # the majorants' slopes of G and H, from those of D and E
+        g1, g2 = te[0] + t2 * td[0], te[1] + t2 * td[1]
+        h1, h2, h3 = td[0] + t2 * te[0], td[1] + t2 * te[1], td[2] + t2 * te[2]
+        roots = _roots(h[0])
+        if roots is None:
+            return _finish(_contour_sum(z1, c, (g, h, res), (g1, h1, tr[0])), inflate)
+        near = min(range(m), key=lambda j: abs(roots[j] - z1))
+        jets = [_jet(*h, w, z1) if j == near else _horner(*h, w, w) for j, w in enumerate(roots)]
+        radii = []
+        for w, (Hw, Hp, *_) in zip(roots, jets):
+            low = abs(Hp[0]) * (1.0 - 8.0 * _U) - Hp[1]
+            rho = m * (abs(Hw[0]) + Hw[1]) / low * inflate if low > 0.0 else math.inf
+            radii.append(rho if abs(w) + rho <= 1.0 else math.inf)
+        if math.inf in radii or any(
+                abs(roots[i] - roots[j]) * (1.0 - 8.0 * _U) <= radii[i] + radii[j]
+                for i in range(m) for j in range(i)):
+            return _finish(_contour_sum(z1, c, (g, h, res), (g1, h1, tr[0])), inflate)
+        total = (0j, 0.0)
+        for j, (w, rho, jet) in enumerate(zip(roots, radii, jets)):
+            Hp = _wider(jet[1], 2.0 * rho * h2)
+            lin = _bsum((1 + 0j, 0.0), _bmul((zc1, 0.0), (w, rho)), -1.0)
+            (Gw, Gq, *_), (Rw, Rq, *_) = _horner(*g, w, z1), _horner(*res, w, z1)
+            Gw, Rw = _wider(Gw, rho * g1), _wider(Rw, rho * tr[0])
+            if j != near:
+                den = _bmul(_bmul(_bmul(_bsum((w, rho), (z1, 0.0), -1.0), lin), Gw), Hp)
+                total = _bsum(total, _bdiv(_bmul(c, Rw), den))
+                continue
+            # the pair z1, w: phi[z1, w] = (N[z1, w] M(w) - N(w) M[z1, w])/(M(z1) M(w))
+            # with N = c Res and M = (1 - conj(z1) zeta) G H[zeta, w]
+            Gq, Rq = _wider(Gq, rho * g2), _wider(Rq, rho * tr[1])
+            Hq, Hs = _wider(jet[2], rho * h2), _wider(jet[3], 2.0 * rho * h3)
+            Aa, Aw = _bmul(b1, Ga), _bmul(lin, Gw)
+            Aq = _bsum(_bmul((-zc1, 0.0), Gw), _bmul(b1, Gq))
+            Ma, Mw = _bmul(Aa, Hq), _bmul(Aw, Hp)
+            Mq = _bsum(_bmul(Aq, Hp), _bmul(Aa, Hs))
+            num = _bsum(_bmul(Rq, Mw), _bmul(Rw, Mq), -1.0)
+            total = _bsum(total, _bmul(c, _bdiv(num, _bmul(Ma, Mw))))
+        return _finish(total, inflate)
+
+    return at
+
+
 def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
     """z -> Poisson integral of mu with an error bound.
 
     Antidiagonal components are integrated in closed form by the kernel
     semigroup at w = z1 z2 (see _antidiagonal_poisson).  A line {zeta_1 =
     tau} carrying c times Lebesgue measure contributes c P_{z1}(tau) exactly,
-    since the mean of P_{z2} over the circle is 1, so it adds nothing to the
-    bound.  Graph components run the node quadrature of integrate_measure2d
-    over real rows made once here from mu's samples on grid (see
-    _graph_poisson), so a point costs one real, in-place kernel pass per
-    coordinate.  The tail term is tail_bound times the sup of the integrand
-    over the omitted mass: sup P_{z1 z2} when mu holds only antidiagonals,
-    sup P_{z1} sup P_{z2} otherwise.  A point off the open bidisc raises
-    ValueError.
+    since the mean of P_{z2} over the circle is 1; its bound is the rounding
+    of that closed form.  The tail term is tail_bound times the sup of the
+    integrand over the omitted mass: sup P_{z1 z2} when mu holds only
+    antidiagonals, sup P_{z1} sup P_{z2} otherwise.  A point off the open
+    bidisc raises ValueError.  The path of each graph is picked here, once.
+
+    A graph built by rif_clark_measure, whose rule and weight are still
+    those of its level (see rif2d._LevelGraph), is integrated as a residue
+    sum, with no grid.  With D, E and Res its level polynomials,
+    G = E - z2 D and H = D - conj(z2) E, on the circle
+    P_{z2}(conj B_alpha) W_alpha = alpha (1 - |z2|^2) Res/(G H) and
+    P_{z1}(zeta) = (1 - |z1|^2) zeta/((zeta - z1)(1 - conj(z1) zeta)), so
+    the integral over dm = dzeta/(2 pi i zeta) is the sum of the residues
+    of F = alpha (1-|z1|^2)(1-|z2|^2) Res/((zeta - z1)(1 - conj(z1) zeta) G H)
+    inside the disc.  On the circle |E| = |D| and |z2| < 1, so by Rouche's
+    theorem G has E's zeros in the disc, none, and H has D's, all m of
+    them: the poles are z1 and the m roots of H.  A root r of H is found in
+    closed form (degree <= 2) or from the companion matrix, and its residue
+    is Res(r)/((r - z1)(1 - conj(z1) r) G(r) H'(r)) times the constant.
+    The root nearest z1 is paired with it (the coinciding-pole rule): their
+    two residues, which grow with opposite signs as r nears z1, are
+    replaced by the divided difference phi[z1, r] of phi = F (zeta - z1)
+    (zeta - r), from divided differences of the polynomials by synthetic
+    division, which do not cancel (at alpha = -1 the example's H at z = 0
+    is 4 zeta + 1e-16, its root 3e-17 from z1 = 0).  The cost of a point
+    does not depend on grid.
+
+    The bound is proven.  Each polynomial value, derivative and divided
+    difference carries the running error bound of its Horner pass (see
+    _jet), which includes the bounds on its coefficients' errors.  The true
+    roots are placed by the inclusion |r* - r| <= rho = m |H(r)|/|H'(r)|: a
+    degree-m H has a zero that close to any r, since |H'/H| <= sum
+    1/|r - r_j|, and when the m discs are pairwise disjoint each holds
+    exactly one.  Over a disc inside the unit disc, a polynomial whose
+    coefficient moduli are at most those of M moves by at most rho M'(1),
+    its derivative by rho M''(1), and its divided differences P[z1, .] and
+    P[z1, ., .] by rho M''(1)/2 and rho M'''(1)/3.  Every quantity is then
+    a ball (centre, radius) holding its exact value at the true root,
+    carried through the residue formulas by ball arithmetic that adds its
+    own rounding (_bsum, _bmul, _bdiv); the radii, built from nonnegative
+    terms, are scaled by 1 + gamma_K at the end to cover their own
+    rounding.  Where the discs overlap or a ball of H' holds 0 (roots that
+    cluster, as for a p symmetric in z1 at z = 0), the sum is taken instead
+    by the trapezoid rule on a circle enclosing every pole, with a proven
+    truncation bound (see _contour_sum); where that cannot be certified
+    either, or a denominator's ball holds 0, the bound is inf.
+
+    Any other graph (a product branch, a graph built by hand, a level graph
+    whose rule or weight was replaced) runs the node quadrature of
+    integrate_measure2d over real rows made once here from mu's samples on
+    grid (see _graph_poisson), and adds its grid-halving estimate.
     """
     grid = grid if grid is not None else QuadratureGrid(DEFAULT_GRID_N)
     antidiagonal = _antidiagonal_poisson(mu._etas, mu.weights)
-    graph_poisson = _graph_poisson(mu, grid) if mu.graphs else None
+    levels = [_level_graph(comp) for comp in mu.graphs]
+    residue_sums = [_residue_poisson(level) for level in levels if level is not None]
+    on_grid = [j for j, level in enumerate(levels) if level is None]
+    graph_poisson = _graph_poisson(mu, grid, on_grid) if on_grid else None
     taus = np.array([line.tau.value for line in mu.lines], dtype=complex)
     constants = np.array([line.constant for line in mu.lines], dtype=float)
+    # a line term rounds within gamma_6 |z1|^2/(1 - |z1|^2) + gamma_8 of
+    # itself (1 - |z1|^2 from a rounded |z1|, then a quotient of rounded
+    # squares), their sum within gamma_(number of lines), and adding it to
+    # the value once more
+    line_rounding = _gamma(8 + len(taus))
 
     def integrate(z) -> IntegralResult:
         z1, z2 = _interior_point(z, 2)
@@ -388,8 +710,16 @@ def measure_integrator(mu: ClarkMeasure2D, grid: QuadratureGrid = None):
             graph_value, graph_error = graph_poisson(z1, z2)
             value += graph_value
             error += graph_error
+        for residue_sum in residue_sums:
+            graph_value, graph_error = residue_sum(z1, z2)
+            value += graph_value
+            error += graph_error + _G1 * abs(value)  # the sum rounds once
         if len(taus):
-            value += float(pairwise_sum(constants * poisson_kernel(z1, taus)))
+            lines = float(pairwise_sum(constants * poisson_kernel(z1, taus)))
+            value += lines
+            square = abs(z1) ** 2
+            error += (lines * (_gamma(6) * square / (1.0 - square) + line_rounding)
+                      + _G1 * abs(value))
         return IntegralResult(value, error)
 
     return integrate
@@ -754,8 +1084,8 @@ def product_boundary_map(P: ProductInner):
 
 
 def rif_boundary_map(R: RIF_n1):
-    """(s_1, s_2) -> phi*(s_1, s_2), the radial limit at a singular point,
-    NaN (one point: None) where that limit does not converge."""
+    """(s_1, s_2) -> phi*(s_1, s_2), alpha_tau at a singular point (tau,
+    gamma), NaN (one point: None) where phi* is undefined."""
 
     def array(z1, z2):
         for z in (z1, z2):

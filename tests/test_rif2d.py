@@ -31,8 +31,8 @@ from clark_measures.rif2d import (
     w_alpha_values,
 )
 from clark_measures import rif2d
-from clark_measures.rif2d import _radial_limit, _weight_correlations
-from clark_measures.verify import sample_test_points
+from clark_measures.rif2d import _weight_correlations
+from clark_measures.verify import measure_integrator, sample_test_points
 
 GRID = QuadratureGrid(4096)
 
@@ -43,6 +43,23 @@ def example_rif() -> RIF_n1:
 
 def monomial_rif() -> RIF_n1:
     return RIF_n1(p1=Poly1((1,)), p2=Poly1((0,)), n=1)
+
+
+def radial_limit(R: RIF_n1, z1: complex, z2: complex) -> complex:
+    """The oracle for phi* at a torus point: the Richardson-extrapolated
+    limit of phi(r z1, r z2) along r = 1 - 2^-m."""
+    previous = None
+    extrapolated = None
+    for m in range(4, 25):
+        r = 1.0 - 2.0 ** (-m)
+        current = complex(R.numerator(r * z1, r * z2) / R.denominator(r * z1, r * z2))
+        if previous is not None:
+            nxt = 2.0 * current - previous
+            if extrapolated is not None and abs(nxt - extrapolated) < 1e-9:
+                return nxt
+            extrapolated = nxt
+        previous = current
+    raise RIFError("radial limit did not converge")
 
 
 def poisson_pair(z1, z2):
@@ -311,6 +328,37 @@ class TestRandomWeights:
         assert np.max(np.abs(num_corr - laurent)) <= 1e-14 * scale
 
 
+def herglotz_oracle(R: RIF_n1, alpha: UnimodularConstant, z) -> mpmath.mpf:
+    """(1 - |phi(z)|^2)/|alpha - phi(z)|^2 in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        z1, z2 = (mpmath.mpc(c.real, c.imag) for c in z)
+
+        def value(p, x):
+            out = mpmath.mpc(0)
+            for c in reversed(p.coefficients):
+                out = out * x + mpmath.mpc(c.real, c.imag)
+            return out
+
+        phi = (z2 * value(R.p1_reflected, z1) + value(R.p2_reflected, z1)) / (
+            value(R.p1, z1) + z2 * value(R.p2, z1))
+        a = mpmath.mpc(alpha.alpha.real, alpha.alpha.imag)
+        return (1 - abs(phi) ** 2) / abs(a - phi) ** 2
+
+
+class TestResidueBound:
+    @settings(max_examples=100, deadline=None)
+    @given(R=stable_rifs(), nu=st.floats(0.0, 2 * math.pi), seed=st.integers(0, 2 ** 16))
+    def test_bound_holds_against_a_30_digit_oracle(self, R, nu, seed):
+        # the identity integrator's bound is proven: wherever it is finite
+        # the Poisson integral is within it of the Herglotz quotient
+        alpha = rif2d._snap_exceptional(R, UnimodularConstant.from_nu(nu))[0]
+        integrate = measure_integrator(rif_clark_measure(R, alpha), GRID)
+        for z in [(0j, 0j), *sample_test_points(2, 8, seed)]:
+            res = integrate(z)
+            if math.isfinite(res.error_bound):
+                assert abs(res.value - herglotz_oracle(R, alpha, z)) <= res.error_bound
+
+
 class TestSingularities:
     def test_worked_example(self):
         found = singularities(example_rif())
@@ -355,11 +403,9 @@ class TestSingularityCache:
         assert line_constant(R, mu.lines[0].tau) == mu.lines[0].constant
         assert calls == [R]
 
-    def test_singularities_take_no_radial_limit(self, monkeypatch):
-        def no_limit(*args):
-            raise AssertionError("radial limit taken")
-
-        monkeypatch.setattr(rif2d, "_radial_limit", no_limit)
+    def test_singularities_take_no_radial_limit(self):
+        # the package takes no radial limit anywhere; the limit is a test oracle
+        assert not hasattr(rif2d, "_radial_limit")
         assert len(singularities(example_rif())) == 1
 
 
@@ -394,7 +440,7 @@ class TestSingularFamily:
         R = SINGULAR_RIFS[name]
         assert R._singular_limits
         for tau, gamma, value in R._singular_limits:
-            assert abs(value - _radial_limit(R, tau.value, gamma.value)) <= 1e-9
+            assert abs(value - radial_limit(R, tau.value, gamma.value)) <= 1e-9
 
     def test_example_value_is_minus_one(self):
         ((_, _, value),) = example_rif()._singular_limits
